@@ -16,7 +16,7 @@ import (
 // reported as their median and the last set-up carries the timed phases.
 // A set-up ends when its warm-up does; the wait that lines the phases up
 // with the checkpoint clock is not part of it.
-const setupReps = 3
+const setupReps = 9
 
 type config struct {
 	workload string
@@ -30,31 +30,42 @@ type config struct {
 	start    time.Time // process start: the first set-up is timed from it
 }
 
-// plan fixes a run's op counts and phase lengths: the light, loaded and
-// closed-loop phases take a third of the measured seconds each. The
-// open-loop phases have fixed op counts, so regret and memory are read
-// after the same work on every run. The phases are laid out on the
-// broker's checkpoint clock, which starts when persistence attaches: at
-// the benchmark's 30 seconds, six default checkpoint intervals, every
-// phase holds exactly two checkpoint passes, 2.5s and 7.5s into it,
-// rather than one or two depending on where the phase boundaries fell.
+// plan fixes a run's op counts and phase lengths. The open-loop phases
+// have fixed op counts, so regret and memory are read after the same work
+// on every run. They share the first half of the measured seconds, cut
+// into cycles of a light slice (a third of the cycle) followed by a
+// loaded slice (two thirds), so each phase samples the machine across the
+// whole half rather than in one stretch that a busy neighbour on a shared
+// host can cover. The closed-loop phase takes the second half. Cycles are
+// laid out on the broker's checkpoint clock, which starts when
+// persistence attaches: at the benchmark's 30 seconds a cycle is one
+// default checkpoint interval, every checkpoint pass of the open-loop
+// half falls in the middle of a loaded slice, and the closed-loop phase
+// holds exactly three passes.
 type plan struct {
-	lead                time.Duration // from attach to the light phase
+	lead                time.Duration // from attach to the first cycle
 	warm, light, loaded int           // op counts
 	fixed               int           // warm + light + loaded
 	ring                int
+	cycles              int
+	cycle               time.Duration
 	closed              time.Duration
 }
 
+// openCycles is how many cycles the open-loop half is cut into.
+const openCycles = 3
+
 func newPlan(sh shape, seconds float64) plan {
-	third := seconds / 3
+	cycle := seconds / 2 / openCycles
 	p := plan{
-		lead:   time.Duration(seconds / 12 * float64(time.Second)),
+		lead:   time.Duration(cycle / 3 * float64(time.Second)),
 		warm:   sh.warmup,
-		light:  max(1, int(math.Round(sh.lightRate*third))),
-		loaded: max(1, int(math.Round(sh.loadedRate*third))),
+		light:  max(1, int(math.Round(sh.lightRate*seconds/6))),
+		loaded: max(1, int(math.Round(sh.loadedRate*seconds/3))),
 		ring:   sh.ring,
-		closed: time.Duration(third * float64(time.Second)),
+		cycles: openCycles,
+		cycle:  time.Duration(cycle * float64(time.Second)),
+		closed: time.Duration(seconds / 2 * float64(time.Second)),
 	}
 	p.fixed = p.warm + p.light + p.loaded
 	return p
@@ -198,12 +209,32 @@ func run(cfg config, out io.Writer) (res *result, err error) {
 		return tr.now()
 	}
 	pool := newCallerPool(wl, rg.main, sh.maxOut)
-	time.Sleep(time.Until(rg.b.attached.Add(pl.lead)))
+	// A traced run keeps the open-loop phases in one stretch each: its
+	// per-layer metrics tell them apart by their time marks.
+	cycles := pl.cycles
+	if cfg.trace {
+		cycles = 1
+	}
+	cycle := pl.cycle * time.Duration(pl.cycles) / time.Duration(cycles)
+	t0 := rg.b.attached.Add(pl.lead)
+	time.Sleep(time.Until(t0))
 	journal0 := rg.journalWritten(tr)
-	mk.light = mark()
-	light := openLoop(ctx, pool, pl.warm, pl.light, sh.lightRate)
-	mk.loaded = mark()
-	loaded := openLoop(ctx, pool, pl.warm+pl.light, pl.loaded, sh.loadedRate)
+	light, loaded := &openPhase{}, &openPhase{}
+	for c := 0; c < cycles; c++ {
+		at := t0.Add(time.Duration(c) * cycle)
+		time.Sleep(time.Until(at))
+		if c == 0 {
+			mk.light = mark()
+		}
+		lo, hi := c*pl.light/cycles, (c+1)*pl.light/cycles
+		light.extend(openLoop(ctx, pool, pl.warm+lo, hi-lo, sh.lightRate))
+		time.Sleep(time.Until(at.Add(cycle / 3)))
+		if c == 0 {
+			mk.loaded = mark()
+		}
+		lo, hi = c*pl.loaded/cycles, (c+1)*pl.loaded/cycles
+		loaded.extend(openLoop(ctx, pool, pl.warm+pl.light+lo, hi-lo, sh.loadedRate))
+	}
 	mk.loadedEnd = mark()
 	journal1 := rg.journalWritten(tr)
 	printOpen(out, "light", light, sh.lightRate)
@@ -220,6 +251,7 @@ func run(cfg config, out io.Writer) (res *result, err error) {
 	storeStats := rg.b.journal.Stats()
 
 	ring := func(k int) int { return pl.fixed + k%pl.ring }
+	time.Sleep(time.Until(t0.Add(pl.cycle * time.Duration(pl.cycles))))
 	cpu0 := cpuTime()
 	mk.closed = mark()
 	cl := closedLoop(ctx, wl, rg.main, nproc, pl.closed, 0, ring)

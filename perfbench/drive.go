@@ -87,6 +87,14 @@ func (p *callerPool) get() caller {
 	return p.wl.newCaller(p.s)
 }
 
+// extend appends a later slice of the same phase.
+func (ph *openPhase) extend(o *openPhase) {
+	ph.merge(o.tally)
+	ph.latency = append(ph.latency, o.latency...)
+	ph.lag = append(ph.lag, o.lag...)
+	ph.elapsed += o.elapsed
+}
+
 // openLoop sends ops first..first+n−1 at rate.
 func openLoop(ctx context.Context, pool *callerPool, first, n int, rate float64) *openPhase {
 	ph := &openPhase{lag: make([]time.Duration, n)}

@@ -19,8 +19,10 @@
 //
 // Each run sets up the broker several times and reports the median set-up
 // time, then runs a light and a loaded open-loop phase of fixed op counts
-// at fixed rates and a closed-loop phase with one caller per CPU that
-// drains at its deadline. Every answer and the broker's books are checked.
+// at fixed rates, interleaved in cycles over the first half of the
+// measured time, and a closed-loop phase with one caller per CPU over the
+// second half that drains at its deadline. Every answer and the broker's
+// books are checked.
 // With -trace 1 the run records spans at the SDK, HTTP, handler and store
 // boundaries, replays the recorded inputs through the layers below the
 // handler, and reports per-layer metrics instead of end-to-end ones.

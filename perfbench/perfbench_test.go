@@ -9,6 +9,8 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"datamarket/internal/server"
 )
 
 // tinySizes keep every workload's shape at a size the tests run in
@@ -110,6 +112,33 @@ func TestTracedRunReportsEveryPerLayerMetric(t *testing.T) {
 			}
 			checkResult(t, res, perLayer)
 		})
+	}
+}
+
+// TestPlanAlignsCheckpointPasses checks the layout the plan promises at
+// the benchmark's 30 seconds: every checkpoint pass of the open-loop half
+// falls inside a loaded slice, and the closed-loop phase holds exactly
+// three passes.
+func TestPlanAlignsCheckpointPasses(t *testing.T) {
+	pl := newPlan(shape{lightRate: 1, loadedRate: 1}, 30)
+	every := server.DefaultCheckpointInterval
+	open := pl.cycle * time.Duration(pl.cycles)
+	closed := 0
+	for pass := every; pass < pl.lead+open+pl.closed; pass += every {
+		at := pass - pl.lead // since the first cycle started
+		switch {
+		case at < 0:
+			t.Errorf("the pass %v after attach comes before the first cycle", pass)
+		case at < open:
+			if at%pl.cycle < pl.cycle/3 {
+				t.Errorf("the pass %v after attach falls in a light slice", pass)
+			}
+		default:
+			closed++
+		}
+	}
+	if closed != 3 {
+		t.Errorf("the closed-loop phase holds %d checkpoint passes, want 3", closed)
 	}
 }
 
