@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint fmt bench-smoke bench-durability bench-serve bench-market bench-loadgen loadgen-smoke ci
+.PHONY: build test race lint fmt bench-smoke bench-durability bench-serve bench-market bench-loadgen loadgen-smoke perfbench-test ci
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,7 @@ race:
 # //lint:ignore <analyzer> <reason> directive.
 lint:
 	$(GO) run ./cmd/datamarket-lint ./...
+	$(GO) run ./cmd/datamarket-lint -C perfbench ./...
 
 fmt:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt needed on:"; gofmt -l .; exit 1; }
@@ -69,4 +70,11 @@ bench-loadgen:
 loadgen-smoke:
 	$(GO) run ./cmd/loadgen -smoke
 
-ci: fmt build test lint
+# perfbench-test vets and tests the repository benchmark. perfbench/ is
+# a nested module, so the root ./... patterns never reach it; its tests
+# check the phase plan and push every workload, at tiny sizes, through
+# the broker with the answer and books checks on (~15s).
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+ci: fmt build test lint perfbench-test

@@ -6,8 +6,10 @@
 // top of the raw endpoints:
 //
 //   - Flusher coalesces concurrent Price calls into multi-stream batch
-//     requests (/v1/price/batch), turning per-round HTTP overhead into
-//     per-batch overhead transparently;
+//     requests (/v1/price/batch): a lone caller pays one round trip and
+//     no wait, while callers that arrive during a request in flight
+//     share the next one, turning per-round HTTP overhead into per-batch
+//     overhead transparently;
 //   - QuoteSession drives the two-phase quote → observe protocol and
 //     enforces its one-pending-round-per-stream rule client-side, so a
 //     protocol violation fails fast in the caller instead of as a 409

@@ -13,24 +13,19 @@ import (
 // Flusher defaults.
 const (
 	DefaultFlusherMaxBatch = 256
-	DefaultFlusherMaxDelay = 2 * time.Millisecond
 	DefaultFlushTimeout    = 30 * time.Second
 )
 
 // ErrFlusherClosed: Price was called after Close.
 var ErrFlusherClosed = errors.New("client: flusher is closed")
 
-// FlusherConfig tunes the coalescing window.
+// FlusherConfig tunes the batches a Flusher sends.
 type FlusherConfig struct {
-	// MaxBatch flushes as soon as this many rounds are buffered
-	// (default 256). Values above api.MaxBatchRounds are clamped to it —
-	// the server rejects larger batches whole, which would fail every
-	// coalesced caller at once.
+	// MaxBatch caps the rounds in one batch (default 256); a buffer that
+	// reaches it is sent at once. Values above api.MaxBatchRounds are
+	// clamped to it — the server rejects larger batches whole, which
+	// would fail every coalesced caller at once.
 	MaxBatch int
-	// MaxDelay bounds how long the first round of a batch waits for
-	// company before the batch flushes anyway (default 2ms) — the
-	// latency cost a caller pays for batching under low concurrency.
-	MaxDelay time.Duration
 	// FlushTimeout bounds one flush's HTTP exchange (default 30s). A
 	// batch aggregates many callers, so it cannot ride any single
 	// caller's context.
@@ -43,18 +38,25 @@ type FlusherConfig struct {
 // MaxBatch rounds: the per-request JSON/dispatch overhead that
 // dominates per-round HTTP serving is amortized transparently.
 //
-// A batch flushes when it reaches MaxBatch rounds or when its oldest
-// round has waited MaxDelay, whichever comes first. Rounds for the same
-// stream keep their submission order within a batch (the server prices
-// a stream's rounds in request order).
+// Batching follows the group-commit rule of the journal's committer: a
+// call that finds no batch in flight sends its round at once, so a lone
+// caller pays one round trip and no wait. Calls that arrive while a
+// batch is in flight form the next batch, which goes the moment an
+// in-flight batch returns; a buffer that reaches MaxBatch goes at once.
+// Rounds for the same stream keep their submission order within a
+// batch (the server prices a stream's rounds in request order).
+//
+// A Flusher holds no goroutine while idle: each batch is sent from a
+// goroutine that lives until nothing is left to send.
 type Flusher struct {
 	c   *Client
 	cfg FlusherConfig
 
-	mu     sync.Mutex
-	buf    []*flushCall
-	timer  *time.Timer
-	closed bool
+	mu       sync.Mutex
+	buf      []*flushCall
+	inflight int // batches sent and not yet returned
+	closed   bool
+	senders  sync.WaitGroup // goroutines sending batches; Close waits on them
 }
 
 // flushCall is one caller's round: its wire form plus the channel the
@@ -67,16 +69,13 @@ type flushCall struct {
 }
 
 // NewFlusher builds a Flusher over the client. Close it when done to
-// flush stragglers.
+// wait for rounds still in flight.
 func NewFlusher(c *Client, cfg FlusherConfig) *Flusher {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = DefaultFlusherMaxBatch
 	}
 	if cfg.MaxBatch > api.MaxBatchRounds {
 		cfg.MaxBatch = api.MaxBatchRounds
-	}
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = DefaultFlusherMaxDelay
 	}
 	if cfg.FlushTimeout <= 0 {
 		cfg.FlushTimeout = DefaultFlushTimeout
@@ -85,13 +84,19 @@ func NewFlusher(c *Client, cfg FlusherConfig) *Flusher {
 }
 
 // Price prices one full round on the stream, riding whatever batch is
-// forming. It blocks until the round's batch has flushed (at most
-// MaxDelay of coalescing plus one HTTP exchange) or ctx is done.
+// forming. It blocks until the round's batch has returned (the rest of
+// a batch already in flight, if any, plus one HTTP exchange) or ctx is
+// done.
 //
-// A ctx expiry abandons only the wait: the round is already committed
-// to its batch and will still price on the server — like any pricing
-// call that times out mid-flight, the mechanism may consume the round.
+// A ctx that is already done fails before the round is enqueued, as
+// Client.Price fails before sending. A ctx expiry after that abandons
+// only the wait: the round is already committed to its batch and will
+// still price on the server — like any pricing call that times out
+// mid-flight, the mechanism may consume the round.
 func (f *Flusher) Price(ctx context.Context, streamID string, features []float64, reserve, valuation float64) (api.PriceResponse, error) {
+	if err := ctx.Err(); err != nil {
+		return api.PriceResponse{}, err
+	}
 	call := &flushCall{
 		round: api.MultiBatchRound{
 			StreamID:  streamID,
@@ -107,18 +112,13 @@ func (f *Flusher) Price(ctx context.Context, streamID string, features []float64
 		return api.PriceResponse{}, ErrFlusherClosed
 	}
 	f.buf = append(f.buf, call)
-	var batch []*flushCall
-	switch {
-	case len(f.buf) >= f.cfg.MaxBatch:
-		batch = f.take()
-	case len(f.buf) == 1:
-		f.timer = time.AfterFunc(f.cfg.MaxDelay, f.flushExpired)
+	if f.inflight == 0 || len(f.buf) >= f.cfg.MaxBatch {
+		f.inflight++
+		f.senders.Add(1)
+		go f.send(f.take())
 	}
 	f.mu.Unlock()
 
-	if batch != nil {
-		f.flush(batch)
-	}
 	select {
 	case <-call.done:
 	case <-ctx.Done():
@@ -133,26 +133,24 @@ func (f *Flusher) Price(ctx context.Context, streamID string, features []float64
 	return call.res.PriceResponse, nil
 }
 
-// take detaches the current buffer and disarms the delay timer. Callers
-// hold f.mu.
+// take detaches the current buffer. Callers hold f.mu.
 func (f *Flusher) take() []*flushCall {
 	batch := f.buf
 	f.buf = nil
-	if f.timer != nil {
-		f.timer.Stop()
-		f.timer = nil
-	}
 	return batch
 }
 
-// flushExpired is the MaxDelay timer's path: flush whatever has
-// accumulated.
-func (f *Flusher) flushExpired() {
-	f.mu.Lock()
-	batch := f.take()
-	f.mu.Unlock()
-	if len(batch) > 0 {
+// send flushes batch, then whatever buffered while it was in flight,
+// until a batch returns to an empty buffer.
+func (f *Flusher) send(batch []*flushCall) {
+	defer f.senders.Done()
+	for len(batch) > 0 {
 		f.flush(batch)
+		f.mu.Lock()
+		if batch = f.take(); len(batch) == 0 {
+			f.inflight--
+		}
+		f.mu.Unlock()
 	}
 }
 
@@ -180,14 +178,11 @@ func (f *Flusher) flush(batch []*flushCall) {
 	}
 }
 
-// Close flushes any buffered rounds and rejects future Price calls.
-// In-flight callers still receive their results.
+// Close rejects future Price calls and waits until every round already
+// enqueued has been sent and answered.
 func (f *Flusher) Close() {
 	f.mu.Lock()
 	f.closed = true
-	batch := f.take()
 	f.mu.Unlock()
-	if len(batch) > 0 {
-		f.flush(batch)
-	}
+	f.senders.Wait()
 }

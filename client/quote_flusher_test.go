@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -100,32 +101,24 @@ func TestQuoteSessionSkip(t *testing.T) {
 	}
 }
 
-// countingHandler wraps a handler and counts requests per path.
-type countingHandler struct {
-	inner http.Handler
-	mu    sync.Mutex
-	paths map[string]int
+// batchStub serves /v1/price/batch with price = Σ features and records
+// every batch request's rounds in arrival order. The first batch request
+// is held until release, so a test can act while a batch is in flight.
+type batchStub struct {
+	first       chan struct{} // closed when the first batch request arrives
+	held        chan struct{} // closed by release
+	releaseOnce sync.Once
+
+	mu   sync.Mutex
+	reqs [][]api.MultiBatchRound
 }
 
-func (h *countingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	h.mu.Lock()
-	h.paths[r.URL.Path]++
-	h.mu.Unlock()
-	h.inner.ServeHTTP(w, r)
-}
-
-func (h *countingHandler) count(path string) int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.paths[path]
-}
-
-// TestFlusherCoalesces: N concurrent Price calls whose batch threshold
-// is N must land as exactly one /v1/price/batch request, with each
-// caller receiving its own round's result.
-func TestFlusherCoalesces(t *testing.T) {
-	const n = 16
-	// Deterministic stub: price = sum(features); accepted = valuation ≥ price.
+// newStubFlusher builds a Flusher over a fresh batchStub. Cleanup
+// releases the held request before it closes the Flusher and the
+// server, so a failing test cannot hang on either.
+func newStubFlusher(t *testing.T, cfg FlusherConfig) (*batchStub, *Flusher) {
+	t.Helper()
+	s := &batchStub{first: make(chan struct{}), held: make(chan struct{})}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/version", func(w http.ResponseWriter, _ *http.Request) {
 		json.NewEncoder(w).Encode(api.VersionResponse{API: api.APIVersion, Server: "stub", GoVersion: "stub"})
@@ -134,6 +127,14 @@ func TestFlusherCoalesces(t *testing.T) {
 		var req api.MultiBatchPriceRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			t.Error(err)
+		}
+		s.mu.Lock()
+		s.reqs = append(s.reqs, req.Rounds)
+		n := len(s.reqs)
+		s.mu.Unlock()
+		if n == 1 {
+			close(s.first)
+			<-s.held
 		}
 		resp := api.BatchPriceResponse{Results: make([]api.BatchRoundResult, len(req.Rounds))}
 		for i, rd := range req.Rounds {
@@ -148,64 +149,258 @@ func TestFlusherCoalesces(t *testing.T) {
 		}
 		json.NewEncoder(w).Encode(resp)
 	})
-	counter := &countingHandler{inner: mux, paths: make(map[string]int)}
-	ts := httptest.NewServer(counter)
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	c, err := New(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewFlusher(c, cfg)
+	t.Cleanup(f.Close)
+	t.Cleanup(s.release)
+	return s, f
+}
+
+// release lets the held first request answer.
+func (s *batchStub) release() { s.releaseOnce.Do(func() { close(s.held) }) }
+
+// requests returns the rounds of every batch request so far.
+func (s *batchStub) requests() [][]api.MultiBatchRound {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([][]api.MultiBatchRound(nil), s.reqs...)
+}
+
+// stubPrice prices round i through f against a batchStub — features
+// (i, 0.5) on one of two streams — and checks the caller got its own
+// round's result.
+func stubPrice(f *Flusher, i int) error {
+	want := float64(i) + 0.5
+	resp, err := f.Price(context.Background(), []string{"a", "b"}[i%2], []float64{float64(i), 0.5}, 0, 1e9)
+	if err != nil {
+		return fmt.Errorf("call %d: %w", i, err)
+	}
+	if resp.Price != want || resp.Accepted == nil || !*resp.Accepted {
+		return fmt.Errorf("call %d: resp %+v, want price %g", i, resp, want)
+	}
+	return nil
+}
+
+// hangGuard bounds every wait in the flusher tests; it only catches
+// hangs, never measures speed.
+const hangGuard = 5 * time.Second
+
+// waitClosed waits for ch to close.
+func waitClosed(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(hangGuard):
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
+// recvErr receives one error from ch.
+func recvErr(t *testing.T, ch <-chan error) error {
+	t.Helper()
+	select {
+	case err := <-ch:
+		return err
+	case <-time.After(hangGuard):
+		t.Fatal("timed out waiting for a Price call to return")
+		return nil
+	}
+}
+
+// waitBuffered polls until f's buffer holds k rounds.
+func waitBuffered(t *testing.T, f *Flusher, k int) {
+	t.Helper()
+	deadline := time.Now().Add(hangGuard)
+	for {
+		f.mu.Lock()
+		got := len(f.buf)
+		f.mu.Unlock()
+		if got == k {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("flusher buffers %d rounds, want %d", got, k)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// TestFlusherCoalesces: while one batch is in flight, the n−1 calls
+// made meanwhile wait in one buffer and go as exactly one follow-up
+// request once the first returns. Every caller gets its own round's
+// result, the follow-up carries the rounds in submission order, and
+// Close waits for the rounds still in flight.
+func TestFlusherCoalesces(t *testing.T) {
+	const n = 16
+	stub, f := newStubFlusher(t, FlusherConfig{})
+	errs := make(chan error, n) // one send per call
+
+	go func() { errs <- stubPrice(f, 0) }()
+	waitClosed(t, stub.first, "the first batch request")
+	for i := 1; i < n; i++ {
+		go func(i int) { errs <- stubPrice(f, i) }(i)
+		// One call at a time, so the submission order is 1..n−1.
+		waitBuffered(t, f, i)
+	}
+	closed := make(chan struct{})
+	go func() {
+		f.Close()
+		close(closed)
+	}()
+	// A Close that did not wait would return within this grace period;
+	// a correct one cannot return before the release below.
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a batch was in flight")
+	case <-time.After(10 * time.Millisecond):
+	}
+	stub.release()
+	for i := 0; i < n; i++ {
+		if err := recvErr(t, errs); err != nil {
+			t.Error(err)
+		}
+	}
+	waitClosed(t, closed, "Close")
+
+	reqs := stub.requests()
+	if len(reqs) != 2 {
+		t.Fatalf("%d batch requests, want the held one plus one follow-up", len(reqs))
+	}
+	if len(reqs[0]) != 1 || len(reqs[1]) != n-1 {
+		t.Fatalf("batch sizes %d, %d; want 1, %d", len(reqs[0]), len(reqs[1]), n-1)
+	}
+	for i, rd := range reqs[1] {
+		if rd.Features[0] != float64(i+1) {
+			t.Fatalf("follow-up round %d carries call %g: submission order lost", i, rd.Features[0])
+		}
+	}
+}
+
+// TestFlusherSequentialCalls: a call that finds no batch in flight goes
+// out at once, so sequential callers each send a one-round request.
+func TestFlusherSequentialCalls(t *testing.T) {
+	const calls = 8
+	stub, f := newStubFlusher(t, FlusherConfig{})
+	stub.release()
+	for i := 0; i < calls; i++ {
+		if err := stubPrice(f, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reqs := stub.requests()
+	if len(reqs) != calls {
+		t.Fatalf("%d batch requests for %d sequential calls", len(reqs), calls)
+	}
+	for i, r := range reqs {
+		if len(r) != 1 || r[0].Features[0] != float64(i) {
+			t.Fatalf("request %d carries %d rounds (%+v), want call %d alone", i, len(r), r, i)
+		}
+	}
+}
+
+// TestFlusherFullBatchGoesAtOnce: a buffer that reaches MaxBatch while
+// a batch is in flight is sent without waiting for that batch.
+func TestFlusherFullBatchGoesAtOnce(t *testing.T) {
+	const maxBatch = 4
+	stub, f := newStubFlusher(t, FlusherConfig{MaxBatch: maxBatch})
+	first := make(chan error, 1)
+	go func() { first <- stubPrice(f, 0) }()
+	waitClosed(t, stub.first, "the first batch request")
+
+	errs := make(chan error, maxBatch) // one send per call
+	for i := 1; i <= maxBatch; i++ {
+		go func(i int) { errs <- stubPrice(f, i) }(i)
+	}
+	// The full batch is answered while the first is still held.
+	for i := 0; i < maxBatch; i++ {
+		if err := recvErr(t, errs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stub.release()
+	if err := recvErr(t, first); err != nil {
+		t.Fatal(err)
+	}
+	reqs := stub.requests()
+	if len(reqs) != 2 || len(reqs[1]) != maxBatch {
+		t.Fatalf("batch requests %v, want the held one plus one of %d rounds", reqs, maxBatch)
+	}
+}
+
+// TestFlusherDoneCtx: a ctx that is already done fails before its round
+// is enqueued, so the mechanism never sees the round. A ctx that ends
+// while its batch is in flight abandons only the wait: the round still
+// prices.
+func TestFlusherDoneCtx(t *testing.T) {
+	inner := server.NewServer(nil).Handler()
+	var hold atomic.Bool
+	held := make(chan struct{})
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/price/batch" && hold.CompareAndSwap(true, false) {
+			close(held)
+			<-release
+		}
+		inner.ServeHTTP(w, r)
+	}))
 	defer ts.Close()
 	c, err := New(ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// MaxDelay is far beyond the test's runtime: only the MaxBatch
-	// trigger can flush, so all n calls must share one request.
-	f := NewFlusher(c, FlusherConfig{MaxBatch: n, MaxDelay: time.Hour})
-	defer f.Close()
-
-	var wg sync.WaitGroup
-	var failures atomic.Int32
-	for i := 0; i < n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			want := float64(i) + 0.5
-			resp, err := f.Price(context.Background(), "s", []float64{float64(i), 0.5}, 0, 1e9)
-			if err != nil || resp.Price != want || resp.Accepted == nil || !*resp.Accepted {
-				t.Errorf("call %d: resp %+v err %v, want price %g", i, resp, err, want)
-				failures.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if failures.Load() > 0 {
-		t.FailNow()
-	}
-	if got := counter.count("/v1/price/batch"); got != 1 {
-		t.Fatalf("%d batch requests for %d coalesced calls, want 1", got, n)
-	}
-}
-
-// TestFlusherTimerFlush: under low concurrency the MaxDelay timer
-// flushes a partial batch; nobody hangs waiting for company.
-func TestFlusherTimerFlush(t *testing.T) {
-	_, c := newBroker(t)
-	ctx := context.Background()
-	if _, err := c.CreateStream(ctx, api.CreateStreamRequest{ID: "s", Dim: 2}); err != nil {
+	bg := context.Background()
+	if _, err := c.CreateStream(bg, api.CreateStreamRequest{ID: "s", Dim: 2}); err != nil {
 		t.Fatal(err)
 	}
-	f := NewFlusher(c, FlusherConfig{MaxBatch: 1024, MaxDelay: 5 * time.Millisecond})
-	defer f.Close()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, err := f.Price(ctx, "s", []float64{0.3, 0.4}, -100, 1e9); err != nil {
-			t.Error(err)
+	rounds := func() int {
+		t.Helper()
+		stats, err := c.Stats(bg, "s")
+		if err != nil {
+			t.Fatal(err)
 		}
+		return stats.Counters.Rounds
+	}
+	f := NewFlusher(c, FlusherConfig{})
+	defer f.Close()
+	defer unblock() // before Close, which waits for the held batch
+
+	done, cancel := context.WithCancel(bg)
+	cancel()
+	if _, err := f.Price(done, "s", []float64{0.3, 0.4}, -100, 1e9); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Price with a done ctx: %v, want context.Canceled", err)
+	}
+	// A later round's batch would carry the abandoned round too, had it
+	// been enqueued.
+	if _, err := f.Price(bg, "s", []float64{0.3, 0.4}, -100, 1e9); err != nil {
+		t.Fatal(err)
+	}
+	if got := rounds(); got != 1 {
+		t.Fatalf("counters show %d rounds after one live call: the abandoned round priced", got)
+	}
+
+	hold.Store(true)
+	ctx, cancel := context.WithCancel(bg)
+	errs := make(chan error, 1)
+	go func() {
+		_, err := f.Price(ctx, "s", []float64{0.3, 0.4}, -100, 1e9)
+		errs <- err
 	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("single flusher call never flushed")
+	waitClosed(t, held, "the batch request")
+	cancel()
+	if err := recvErr(t, errs); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Price whose ctx ended in flight: %v, want context.Canceled", err)
+	}
+	unblock()
+	f.Close()
+	if got := rounds(); got != 2 {
+		t.Fatalf("counters show %d rounds, want the in-flight round priced too", got)
 	}
 }
 
@@ -219,7 +414,7 @@ func TestFlusherAgainstBroker(t *testing.T) {
 	if _, err := c.CreateStream(ctx, api.CreateStreamRequest{ID: "s", Dim: 2, Horizon: calls}); err != nil {
 		t.Fatal(err)
 	}
-	f := NewFlusher(c, FlusherConfig{MaxBatch: 16, MaxDelay: time.Millisecond})
+	f := NewFlusher(c, FlusherConfig{MaxBatch: 16})
 	var wg sync.WaitGroup
 	for i := 0; i < calls; i++ {
 		i := i

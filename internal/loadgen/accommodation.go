@@ -120,7 +120,7 @@ func (a *Accommodation) NewWorker(id int) (Worker, error) {
 	return &accWorker{wl: a, pick: NewChooser(len(a.ops), 0, rng)}, nil
 }
 
-// Close flushes straggling coalesced rounds.
+// Close waits for coalesced rounds still in flight.
 func (a *Accommodation) Close() error {
 	if a.flusher != nil {
 		a.flusher.Close()

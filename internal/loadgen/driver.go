@@ -123,6 +123,10 @@ type ClosedLoopConfig struct {
 // ClosedLoop drives wl with Concurrency workers, each issuing the next
 // op as soon as the previous one returns. Latency here is plain per-op
 // service time; throughput is the natural saturation measure.
+//
+// Workers stop issuing at the deadline, and ops still in flight then
+// finish on ctx: cancelling them would tear down rounds the server may
+// already have priced, which the outcome would then never count.
 func ClosedLoop(ctx context.Context, wl Workload, cfg ClosedLoopConfig) (*Outcome, error) {
 	if cfg.Concurrency <= 0 {
 		return nil, fmt.Errorf("loadgen: closed loop needs positive Concurrency, got %d", cfg.Concurrency)
@@ -148,8 +152,6 @@ func ClosedLoop(ctx context.Context, wl Workload, cfg ClosedLoopConfig) (*Outcom
 		wg sync.WaitGroup
 		mu sync.Mutex
 	)
-	runCtx, cancel := context.WithTimeout(ctx, cfg.Duration)
-	defer cancel()
 	start := time.Now()
 	deadline := start.Add(cfg.Duration)
 	for _, w := range workers {
@@ -158,11 +160,11 @@ func ClosedLoop(ctx context.Context, wl Workload, cfg ClosedLoopConfig) (*Outcom
 			defer wg.Done()
 			var issued, units int64
 			errs := make(map[string]int64)
-			for time.Now().Before(deadline) && runCtx.Err() == nil {
+			for time.Now().Before(deadline) && ctx.Err() == nil {
 				t0 := time.Now()
-				u, err := w.Issue(runCtx)
-				if err != nil && runCtx.Err() != nil && u == 0 {
-					// The deadline tore the op down mid-flight; don't count
+				u, err := w.Issue(ctx)
+				if err != nil && ctx.Err() != nil && u == 0 {
+					// The caller tore the op down mid-flight; don't count
 					// the teardown as a served op or a server error.
 					break
 				}
