@@ -13,20 +13,21 @@ import (
 // Support and Cut must not allocate at all. (Skipped under -race, whose
 // instrumentation perturbs allocation counts.)
 func TestSupportCutZeroAllocs(t *testing.T) {
-	const n = 16
-	e, err := NewBall(n, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := randx.New(1).OnSphere(n)
-	// Warm the scratch buffer; the first Cut is allowed its one-time
-	// allocation.
-	e.Cut(x, e.c.Dot(x))
+	for _, n := range []int{16, 128} {
+		e, err := NewBall(n, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := randx.New(1).OnSphere(n)
+		// Warm the scratch buffer; the first Cut is allowed its one-time
+		// allocation.
+		e.Cut(x, e.c.Dot(x))
 
-	if got := testing.AllocsPerRun(200, func() {
-		lo, hi := e.Support(x)
-		e.Cut(x, (lo+hi)/2)
-	}); got != 0 {
-		t.Fatalf("Support+Cut allocated %v times per round, want 0", got)
+		if got := testing.AllocsPerRun(200, func() {
+			lo, hi := e.Support(x)
+			e.Cut(x, (lo+hi)/2)
+		}); got != 0 {
+			t.Fatalf("n=%d: Support+Cut allocated %v times per round, want 0", n, got)
+		}
 	}
 }

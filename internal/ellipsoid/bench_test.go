@@ -2,19 +2,52 @@ package ellipsoid
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"datamarket/internal/linalg"
 	"datamarket/internal/randx"
 )
 
-// benchDirections pre-generates unit probe directions so the measured
-// loop touches only the ellipsoid.
-func benchDirections(n, k int) []linalg.Vector {
+// hotDirection returns a unit probe with k equal nonzero entries at
+// distinct random indices: the shape of a hashed one-hot impression
+// (§V-C), whose 13 categorical fields set 13 of n coordinates.
+func hotDirection(r *randx.RNG, n, k int) linalg.Vector {
+	x := linalg.NewVector(n)
+	w := 1 / math.Sqrt(float64(k))
+	for _, i := range r.Perm(n)[:k] {
+		x[i] = w
+	}
+	return x
+}
+
+// benchShape is one benchmarked dimension and probe shape: dense unit
+// probes (hot = 0) or hot-sparse ones.
+type benchShape struct{ n, hot int }
+
+// benchShapes are the small dense cases plus the paper's two hashed
+// dimensions (§V-C, n = 128 and 1024) with the impression workload's
+// 13-hot probes.
+var benchShapes = []benchShape{{4, 0}, {16, 0}, {64, 0}, {128, 13}, {1024, 13}}
+
+func (s benchShape) String() string {
+	if s.hot == 0 {
+		return fmt.Sprintf("n=%d", s.n)
+	}
+	return fmt.Sprintf("n=%d,hot=%d", s.n, s.hot)
+}
+
+// benchDirections pre-generates k probe directions of the given shape so
+// the measured loop touches only the ellipsoid.
+func benchDirections(s benchShape, k int) []linalg.Vector {
 	r := randx.New(1)
 	dirs := make([]linalg.Vector, k)
 	for i := range dirs {
-		dirs[i] = r.OnSphere(n)
+		if s.hot > 0 {
+			dirs[i] = hotDirection(r, s.n, s.hot)
+		} else {
+			dirs[i] = r.OnSphere(s.n)
+		}
 	}
 	return dirs
 }
@@ -22,13 +55,13 @@ func benchDirections(n, k int) []linalg.Vector {
 // BenchmarkSupport measures the per-round value-bound probe — half of
 // the pricing hot path. Must report 0 allocs/op.
 func BenchmarkSupport(b *testing.B) {
-	for _, n := range []int{4, 16, 64} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			e, err := NewBall(n, 4)
+	for _, s := range benchShapes {
+		b.Run(s.String(), func(b *testing.B) {
+			e, err := NewBall(s.n, 4)
 			if err != nil {
 				b.Fatal(err)
 			}
-			dirs := benchDirections(n, 256)
+			dirs := benchDirections(s, 256)
 			var sink float64
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -47,13 +80,13 @@ func BenchmarkSupport(b *testing.B) {
 // never degenerates. Must report 0 allocs/op.
 func BenchmarkCut(b *testing.B) {
 	const resetEvery = 512
-	for _, n := range []int{4, 16, 64} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			e, err := NewBall(n, 4)
+	for _, s := range benchShapes {
+		b.Run(s.String(), func(b *testing.B) {
+			e, err := NewBall(s.n, 4)
 			if err != nil {
 				b.Fatal(err)
 			}
-			dirs := benchDirections(n, resetEvery)
+			dirs := benchDirections(s, resetEvery)
 			// Warm the per-ellipsoid scratch before measuring.
 			e.Cut(dirs[0], e.c.Dot(dirs[0]))
 			b.ReportAllocs()
@@ -61,7 +94,7 @@ func BenchmarkCut(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if i%resetEvery == 0 {
 					b.StopTimer()
-					fresh, err := NewBall(n, 4)
+					fresh, err := NewBall(s.n, 4)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -86,7 +119,7 @@ func BenchmarkPriceRoundKernel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dirs := benchDirections(n, resetEvery)
+	dirs := benchDirections(benchShape{n: n}, resetEvery)
 	e.Cut(dirs[0], e.c.Dot(dirs[0]))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -197,6 +197,12 @@ func (e *E) Alpha(a linalg.Vector, beta float64) (float64, error) {
 //	A' = n²(1−α²)/(n²−1) · (A − 2(1+nα)/((n+1)(1+α)) · b bᵀ)
 //
 // which for α = 0 reduces to the textbook central-cut ellipsoid update.
+// It is computed as c′ = c − τ·b and, in one row-major pass over A,
+// A′ᵢⱼ = σ·(Aᵢⱼ − ρ·(bᵢ·bⱼ)) with τ, σ, ρ the three coefficients above.
+// A is exactly symmetric on entry (NewBall builds a diagonal, New
+// symmetrizes, the 1-D update is 1×1) and bᵢ·bⱼ rounds exactly like bⱼ·bᵢ,
+// so A′ is exactly symmetric as well and no Symmetrize pass is needed;
+// IsWellFormed checks that with zero tolerance.
 // n = 1 is handled exactly (the remaining segment's enclosing "ellipsoid"
 // is the segment itself).
 func (e *E) Cut(a linalg.Vector, beta float64) CutResult {
@@ -234,9 +240,7 @@ func (e *E) Cut(a linalg.Vector, beta float64) CutResult {
 	rho := 2 * (1 + n*alpha) / ((n + 1) * (1 + alpha))
 
 	e.c.AddScaled(-tau, b)
-	e.a.AddRankOne(-rho, b, b)
-	e.a.Scale(sigma)
-	e.a.Symmetrize()
+	e.a.SymRankOneScale(-rho, b, sigma)
 	return CutApplied
 }
 
@@ -338,10 +342,9 @@ func (e *E) Sample(r *randx.RNG) (linalg.Vector, error) {
 	return x, nil
 }
 
-// IsWellFormed verifies the structural invariants: finite entries,
+// IsWellFormed verifies the structural invariants: finite entries, exact
 // symmetry, and positive definiteness of the shape matrix.
 func (e *E) IsWellFormed() bool {
-	return e.a.IsFinite() && e.c.IsFinite() &&
-		e.a.IsSymmetric(1e-6*math.Max(1, e.a.MaxAbs())) &&
+	return e.a.IsFinite() && e.c.IsFinite() && e.a.IsSymmetric(0) &&
 		linalg.IsPositiveDefinite(e.a)
 }

@@ -133,29 +133,6 @@ func (m *Matrix) MulVec(v Vector) Vector {
 	return out
 }
 
-// MulVecTo computes m·v into dst (which must have length m.Rows()) and
-// returns dst — the allocation-free variant of MulVec for hot paths
-// that own a scratch vector. (The ellipsoid hot path uses the sparse-
-// aware transpose form MulVecTTo; this row-major form is its dense
-// counterpart, exported for parity.)
-func (m *Matrix) MulVecTo(dst, v Vector) Vector {
-	if m.cols != len(v) {
-		panic(fmt.Sprintf("linalg: MulVecTo shape mismatch %dx%d by %d", m.rows, m.cols, len(v)))
-	}
-	if len(dst) != m.rows {
-		panic(fmt.Sprintf("linalg: MulVecTo dst length %d, want %d", len(dst), m.rows))
-	}
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		var s float64
-		for j, x := range row {
-			s += x * v[j]
-		}
-		dst[i] = s
-	}
-	return dst
-}
-
 // MulVecT returns mᵀ·v without forming the transpose.
 func (m *Matrix) MulVecT(v Vector) Vector {
 	if m.rows != len(v) {
@@ -256,6 +233,23 @@ func (m *Matrix) AddRankOne(a float64, v, w Vector) *Matrix {
 		avi := a * vi
 		for j, wj := range w {
 			row[j] += avi * wj
+		}
+	}
+	return m
+}
+
+// SymRankOneScale overwrites the square m with s·(m + a·b bᵀ) in one
+// row-major pass, without allocating. Each entry is formed as
+// s·(mᵢⱼ + a·(bᵢ·bⱼ)), and bᵢ·bⱼ rounds exactly like bⱼ·bᵢ, so an exactly
+// symmetric m stays exactly symmetric: no Symmetrize pass is needed.
+func (m *Matrix) SymRankOneScale(a float64, b Vector, s float64) *Matrix {
+	if m.rows != m.cols || m.rows != len(b) {
+		panic("linalg: SymRankOneScale shape mismatch")
+	}
+	for i, bi := range b {
+		row := m.Row(i)[:len(b)] // lets the compiler drop row[j]'s bounds check
+		for j, bj := range b {
+			row[j] = s * (row[j] + a*(bi*bj))
 		}
 	}
 	return m

@@ -95,6 +95,30 @@ func TestAddRankOneMatchesOuter(t *testing.T) {
 	}
 }
 
+func TestSymRankOneScale(t *testing.T) {
+	a := MatrixFromRows([][]float64{
+		{2.3, 0.1, -0.7, 0.3},
+		{0.1, 1.9, 0.2, -0.4},
+		{-0.7, 0.2, 3.1, 0.6},
+		{0.3, -0.4, 0.6, 1.7},
+	})
+	b := VectorOf(0.1, -0.3, 0.7, 1.3)
+	const coef, scale = -0.7, 1.1
+	got := a.Clone().SymRankOneScale(coef, b, scale)
+	want := a.Clone().AddRankOne(coef, b, b).Scale(scale)
+	if !got.Equal(want, 1e-12) {
+		t.Fatalf("SymRankOneScale mismatch:\n%v\nvs\n%v", got, want)
+	}
+	// Forming (coef·bᵢ)·bⱼ, as AddRankOne does, rounds mirrored products
+	// apart on this data; the one-pass form must keep its entries equal.
+	if (coef*b[1])*b[2] == (coef*b[2])*b[1] {
+		t.Fatal("test data no longer separates the two roundings")
+	}
+	if !got.IsSymmetric(0) {
+		t.Fatalf("SymRankOneScale broke exact symmetry:\n%v", got)
+	}
+}
+
 func TestSymmetrize(t *testing.T) {
 	a := MatrixFromRows([][]float64{{1, 2}, {4, 3}})
 	a.Symmetrize()
@@ -163,24 +187,6 @@ func TestRaggedRowsPanics(t *testing.T) {
 	MatrixFromRows([][]float64{{1, 2}, {3}})
 }
 
-func TestMulVecToMatchesMulVec(t *testing.T) {
-	m := MatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	v := VectorOf(1, -1, 2)
-	dst := NewVector(2)
-	got := m.MulVecTo(dst, v)
-	if &got[0] != &dst[0] {
-		t.Fatal("MulVecTo did not return dst")
-	}
-	if !got.Equal(m.MulVec(v), 0) {
-		t.Fatalf("MulVecTo = %v, MulVec = %v", got, m.MulVec(v))
-	}
-	// dst is fully overwritten, not accumulated.
-	dst[0], dst[1] = 99, 99
-	if !m.MulVecTo(dst, v).Equal(m.MulVec(v), 0) {
-		t.Fatal("MulVecTo accumulated into stale dst")
-	}
-}
-
 func TestMulVecTToMatchesMulVecT(t *testing.T) {
 	m := MatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	v := VectorOf(2, -3)
@@ -195,13 +201,13 @@ func TestMulVecTToMatchesMulVecT(t *testing.T) {
 	}
 }
 
-func TestMulVecToShapePanics(t *testing.T) {
+func TestInPlaceShapePanics(t *testing.T) {
 	m := MatrixFromRows([][]float64{{1, 2}, {3, 4}})
 	for name, f := range map[string]func(){
-		"MulVecTo bad v":    func() { m.MulVecTo(NewVector(2), NewVector(3)) },
-		"MulVecTo bad dst":  func() { m.MulVecTo(NewVector(3), NewVector(2)) },
-		"MulVecTTo bad v":   func() { m.MulVecTTo(NewVector(2), NewVector(3)) },
-		"MulVecTTo bad dst": func() { m.MulVecTTo(NewVector(3), NewVector(2)) },
+		"MulVecTTo bad v":            func() { m.MulVecTTo(NewVector(2), NewVector(3)) },
+		"MulVecTTo bad dst":          func() { m.MulVecTTo(NewVector(3), NewVector(2)) },
+		"SymRankOneScale bad b":      func() { m.SymRankOneScale(1, NewVector(3), 1) },
+		"SymRankOneScale not square": func() { NewMatrix(2, 3).SymRankOneScale(1, NewVector(2), 1) },
 	} {
 		func() {
 			defer func() {
