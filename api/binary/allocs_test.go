@@ -162,3 +162,37 @@ func TestSinglePriceCodecZeroAllocs(t *testing.T) {
 		t.Errorf("steady-state single-round encode+decode allocates %.1f times per call, want 0", allocs)
 	}
 }
+
+func TestTradeBatchCodecZeroAllocs(t *testing.T) {
+	// A ratings-shaped batch: 64 sparse trades of 32 owners out of 4,000.
+	trades := make([]api.TradeRequest, 64)
+	for i := range trades {
+		sup := make([]int, 32)
+		w := make([]float64, 32)
+		for k := range sup {
+			sup[k] = (i + 125*k) % 4000
+			w[k] = float64(k) + 0.5
+		}
+		trades[i] = api.TradeRequest{Owners: 4000, Support: sup, Weights: w, NoiseVariance: 1, Valuation: 2}
+	}
+	req := &api.TradeBatchRequest{Trades: trades}
+	buf, err := Append(nil, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d Decoder
+	if _, err := d.TradeBatch(buf); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if buf, err = Append(buf[:0], req); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.TradeBatch(buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state sparse trade batch encode+decode allocates %.1f times per call, want 0", allocs)
+	}
+}

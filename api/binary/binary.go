@@ -29,7 +29,7 @@
 //
 //	offset  size  field
 //	0       4     magic   "DMB1" (0x44 0x4D 0x42 0x31)
-//	4       1     version codec version (Version = 1)
+//	4       1     version codec version (Version = 2)
 //	5       1     kind    message kind (Kind* constants)
 //	6       2     reserved, must be zero
 //	8       …     payload (kind-specific, little-endian)
@@ -55,7 +55,8 @@ const (
 	// (Content-Type) and responses (Accept / Content-Type).
 	ContentType = "application/x-datamarket-binary"
 	// ProtoHeader is the response header a binary-capable server stamps
-	// on every response; its value is the highest codec version spoken.
+	// on every response; its value is the codec Version it speaks, in
+	// decimal. Clients switch to the codec only on their own Version.
 	ProtoHeader = "X-Binary-Protocol"
 )
 
@@ -64,7 +65,8 @@ const (
 	// Magic opens every frame: "DMB1" read as a little-endian uint32.
 	Magic uint32 = 0x31424D44
 	// Version is the codec version written and accepted by this package.
-	Version uint8 = 1
+	// Version 2 added the sparse form to the trade batch frame.
+	Version uint8 = 2
 	// headerSize is the fixed frame header length.
 	headerSize = 8
 )
@@ -121,9 +123,11 @@ var WireTypes = map[Kind]any{
 	KindTradeBatchResponse: api.TradeBatchResponse{},
 }
 
-// MaxDim caps the per-round feature (and per-trade weight) count a
-// decoder accepts. It is a frame-sanity bound, not the serving contract:
-// the server enforces its own tighter dimension cap after decoding.
+// MaxDim caps the counts a decoder accepts per round and per trade:
+// features per round, and weights and support indices per trade. It
+// equals the server's owner cap, so a full-population dense trade fits.
+// It is a frame-sanity bound, not the serving contract: the server
+// enforces its own dimension and owner checks after decoding.
 const MaxDim = 1 << 16
 
 // ErrFrame is wrapped by every decode failure: truncated or oversized

@@ -37,6 +37,7 @@ func sampleMessages() map[Kind]any {
 		KindTradeBatchRequest: &api.TradeBatchRequest{
 			Trades: []api.TradeRequest{
 				{Weights: []float64{0.5, 0.5}, NoiseVariance: 0.01, Valuation: 3},
+				{Owners: 6, Support: []int{1, 4}, Weights: []float64{2, -3}, NoiseVariance: 0.5, Valuation: 1.5},
 				{Weights: []float64{1}, NoiseVariance: 0.25, Valuation: 0.5},
 			},
 		},
@@ -207,6 +208,65 @@ func TestEncodeRejectsRagged(t *testing.T) {
 	}
 	if _, err := Append(nil, ragged); err == nil {
 		t.Error("Append encoded a ragged batch")
+	}
+}
+
+// TestEncodeRejectsUncarriableTrade pins that a trade whose owner count
+// or support index falls outside the frame's uint32 columns is an encode
+// error (the SDK then sends the batch as JSON), and that the failed
+// append leaves the caller's buffer as it was.
+func TestEncodeRejectsUncarriableTrade(t *testing.T) {
+	ok := api.TradeRequest{Owners: 4, Support: []int{1}, Weights: []float64{1}, NoiseVariance: 1}
+	for name, bad := range map[string]api.TradeRequest{
+		"negative owners":        {Owners: -4, Support: []int{1}, Weights: []float64{1}, NoiseVariance: 1},
+		"negative support index": {Owners: 4, Support: []int{2, -1}, Weights: []float64{1, 1}, NoiseVariance: 1},
+		"support index past uint32": {
+			Owners: 4, Support: []int{math.MaxUint32 + 1}, Weights: []float64{1}, NoiseVariance: 1,
+		},
+	} {
+		prefix := []byte("prefix")
+		got, err := Append(prefix, &api.TradeBatchRequest{Trades: []api.TradeRequest{ok, bad}})
+		if err == nil {
+			t.Errorf("%s: Append encoded a trade the frame cannot carry", name)
+		}
+		if string(got) != "prefix" {
+			t.Errorf("%s: failed Append returned %q, want the buffer unchanged", name, got)
+		}
+	}
+}
+
+// TestDecodeRejectsTradeFrames pins the trade frame's own bounds: the
+// per-trade support and weight counts, and the exact payload length
+// they imply.
+func TestDecodeRejectsTradeFrames(t *testing.T) {
+	good, err := Append(nil, &api.TradeBatchRequest{Trades: []api.TradeRequest{
+		{Owners: 8, Support: []int{1, 5}, Weights: []float64{1, 2}, NoiseVariance: 1, Valuation: 1},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate := func(f func(b []byte)) []byte {
+		b := append([]byte(nil), good...)
+		f(b)
+		return b
+	}
+	// k=1: owners at 12, slens at 16, wlens at 20 (header 8 + k 4).
+	cases := map[string][]byte{
+		"truncated":         good[:len(good)-1],
+		"oversized":         append(append([]byte(nil), good...), 0),
+		"huge support":      mutate(func(b []byte) { putU32(b[16:], MaxDim+1) }),
+		"huge weights":      mutate(func(b []byte) { putU32(b[20:], MaxDim+1) }),
+		"support too long":  mutate(func(b []byte) { putU32(b[16:], 3) }),
+		"columns truncated": good[:headerSize+4+4],
+		"nan weight":        mutate(func(b []byte) { putU64(b[len(b)-8:], math.Float64bits(math.NaN())) }),
+	}
+	var d Decoder
+	for name, frame := range cases {
+		if _, err := d.TradeBatch(frame); err == nil {
+			t.Errorf("%s: decode accepted a malformed frame", name)
+		} else if !strings.Contains(err.Error(), ErrFrame.Error()) {
+			t.Errorf("%s: error %v does not wrap ErrFrame", name, err)
+		}
 	}
 }
 

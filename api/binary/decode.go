@@ -30,6 +30,7 @@ type Decoder struct {
 	tradeResp api.TradeBatchResponse
 
 	features     []float64 // packed features / weights backing store
+	support      []int     // packed trade support indices backing store
 	vals         []float64 // valuation backing store (Valuation pointers)
 	rounds       []api.BatchPriceRound
 	multiRounds  []api.MultiBatchRound
@@ -69,9 +70,13 @@ func header(data []byte, want Kind) ([]byte, error) {
 	return data[headerSize:], nil
 }
 
-// u64At / f64At read little-endian values at off; bounds are the
-// caller's responsibility (batch decoders validate the full payload
+// u32At / u64At / f64At read little-endian values at off; bounds are
+// the caller's responsibility (batch decoders validate the full payload
 // length once up front).
+func u32At(b []byte, off int) uint32 {
+	return binary.LittleEndian.Uint32(b[off:])
+}
+
 func u64At(b []byte, off int) uint64 {
 	return binary.LittleEndian.Uint64(b[off:])
 }
@@ -329,7 +334,8 @@ func (d *Decoder) MultiBatch(data []byte) (*api.MultiBatchPriceRequest, error) {
 }
 
 // TradeBatch decodes a KindTradeBatchRequest frame. The returned request
-// aliases the Decoder's scratch.
+// aliases the Decoder's scratch. A trade with no support indices decodes
+// with a nil Support, as the JSON form omits it.
 func (d *Decoder) TradeBatch(data []byte) (*api.TradeBatchRequest, error) {
 	p, err := header(data, KindTradeBatchRequest)
 	if err != nil {
@@ -343,33 +349,52 @@ func (d *Decoder) TradeBatch(data []byte) (*api.TradeBatchRequest, error) {
 		return nil, frameErrorf("batch of %d trades exceeds limit %d", k, api.MaxBatchRounds)
 	}
 	n := int(k)
-	lenOff := 4
-	noiseOff := lenOff + 4*n
+	ownersOff := 4
+	slenOff := ownersOff + 4*n
+	wlenOff := slenOff + 4*n
+	noiseOff := wlenOff + 4*n
 	valOff := noiseOff + 8*n
-	weightOff := valOff + 8*n
-	if len(p) < weightOff {
-		return nil, frameErrorf("trade batch payload is %d bytes, columns need %d", len(p), weightOff)
+	supOff := valOff + 8*n
+	if len(p) < supOff {
+		return nil, frameErrorf("trade batch payload is %d bytes, columns need %d", len(p), supOff)
 	}
-	var totalW uint64
+	var totalS, totalW uint64
 	for i := 0; i < n; i++ {
-		w := binary.LittleEndian.Uint32(p[lenOff+4*i:])
+		s := u32At(p, slenOff+4*i)
+		w := u32At(p, wlenOff+4*i)
+		if s > MaxDim {
+			return nil, frameErrorf("trade %d: %d support indices exceed frame limit %d", i, s, MaxDim)
+		}
 		if w > MaxDim {
 			return nil, frameErrorf("trade %d: %d weights exceed frame limit %d", i, w, MaxDim)
 		}
+		totalS += uint64(s)
 		totalW += uint64(w)
 	}
-	if expected := uint64(weightOff) + 8*totalW; uint64(len(p)) != expected {
+	weightOff := uint64(supOff) + 4*totalS
+	if expected := weightOff + 8*totalW; uint64(len(p)) != expected {
 		return nil, frameErrorf("trade batch payload is %d bytes, want %d", len(p), expected)
 	}
+	d.support = grow(d.support, int(totalS))
+	for j := range d.support {
+		d.support[j] = int(u32At(p, supOff+4*j))
+	}
 	d.features = grow(d.features, int(totalW))
-	if err := f64Column(p, weightOff, int(totalW), d.features); err != nil {
+	if err := f64Column(p, int(weightOff), int(totalW), d.features); err != nil {
 		return nil, err
 	}
 	d.trades = grow(d.trades, n)
-	wOff := 0
+	sOff, wOff := 0, 0
 	for i := 0; i < n; i++ {
 		t := &d.trades[i]
-		w := int(binary.LittleEndian.Uint32(p[lenOff+4*i:]))
+		t.Owners = int(u32At(p, ownersOff+4*i))
+		s := int(u32At(p, slenOff+4*i))
+		t.Support = nil
+		if s > 0 {
+			t.Support = d.support[sOff : sOff+s : sOff+s]
+		}
+		sOff += s
+		w := int(u32At(p, wlenOff+4*i))
 		t.Weights = d.features[wOff : wOff+w : wOff+w]
 		wOff += w
 		if t.NoiseVariance, err = f64At(p, noiseOff+8*i); err != nil {

@@ -11,9 +11,10 @@ import (
 // The Append* encoders append one complete frame to buf and return the
 // extended slice, in the append(dst, src...) idiom: passing a buffer
 // with spare capacity (e.g. one drawn from a sync.Pool) makes the
-// steady-state encode allocation-free. Encoders for request types cannot
-// fail; response encoders return an error only for decision strings the
-// enum does not cover, which a conforming server never produces.
+// steady-state encode allocation-free. Request encoders fail only for
+// messages their frame cannot express (see each encoder); response
+// encoders return an error only for decision strings the enum does not
+// cover, which a conforming server never produces.
 
 // Low-level little-endian appenders.
 
@@ -225,19 +226,40 @@ func CanEncodeMultiBatch(rounds []api.MultiBatchRound) bool {
 }
 
 // AppendTradeBatchRequest encodes a market trade batch
-// (KindTradeBatchRequest) in the columnar layout. Weight vectors are
-// concatenated into one packed column with a per-trade length column, so
-// ragged (invalid) weight counts are expressible and fail server-side
-// with the same per-trade errors as JSON. Payload:
+// (KindTradeBatchRequest) in the columnar layout. Each trade travels in
+// the form it has: a dense trade (Owners zero) as its weights, a sparse
+// trade as its owner count, support indices and aligned weights. Indices
+// and weights are concatenated into packed columns with per-trade length
+// columns, so malformed trades (ragged weight counts, support and weight
+// counts that differ, out-of-range indices) are expressible and fail
+// server-side with the same per-trade errors as JSON. Payload:
 //
-//	k        uint32        trades
-//	wlens    k × uint32    weights per trade
-//	noise    k × float64   noise variances
-//	vals     k × float64   valuations
-//	weights  Σwlens × float64 concatenated
-func AppendTradeBatchRequest(buf []byte, req *api.TradeBatchRequest) []byte {
+//	k        uint32            trades
+//	owners   k × uint32        owner count of a sparse trade, 0 if dense
+//	slens    k × uint32        support indices per trade
+//	wlens    k × uint32        weights per trade
+//	noise    k × float64       noise variances
+//	vals     k × float64       valuations
+//	support  Σslens × uint32   concatenated
+//	weights  Σwlens × float64  concatenated
+//
+// An owner count or support index outside the uint32 range (a negative
+// one, say) is not expressible: encoding it returns an error, and the
+// SDK sends such a batch as JSON, where the server rejects the trade.
+func AppendTradeBatchRequest(buf []byte, req *api.TradeBatchRequest) ([]byte, error) {
+	start := len(buf)
 	buf = appendHeader(buf, KindTradeBatchRequest)
 	buf = appendU32(buf, uint32(len(req.Trades)))
+	for i := range req.Trades {
+		o := req.Trades[i].Owners
+		if !fitsU32(o) {
+			return buf[:start], fmt.Errorf("binary: trade %d: owner count %d does not fit the frame's uint32 column", i, o)
+		}
+		buf = appendU32(buf, uint32(o))
+	}
+	for i := range req.Trades {
+		buf = appendU32(buf, uint32(len(req.Trades[i].Support)))
+	}
 	for i := range req.Trades {
 		buf = appendU32(buf, uint32(len(req.Trades[i].Weights)))
 	}
@@ -248,10 +270,21 @@ func AppendTradeBatchRequest(buf []byte, req *api.TradeBatchRequest) []byte {
 		buf = appendF64(buf, req.Trades[i].Valuation)
 	}
 	for i := range req.Trades {
+		for _, j := range req.Trades[i].Support {
+			if !fitsU32(j) {
+				return buf[:start], fmt.Errorf("binary: trade %d: support index %d does not fit the frame's uint32 column", i, j)
+			}
+			buf = appendU32(buf, uint32(j))
+		}
+	}
+	for i := range req.Trades {
 		buf = appendF64s(buf, req.Trades[i].Weights)
 	}
-	return buf
+	return buf, nil
 }
+
+// fitsU32 reports whether v is expressible in a uint32 column.
+func fitsU32(v int) bool { return v >= 0 && uint64(v) <= math.MaxUint32 }
 
 // Response flag bits.
 const (
@@ -413,7 +446,7 @@ func Append(buf []byte, v any) ([]byte, error) {
 	case *api.MultiBatchPriceRequest:
 		return AppendMultiBatchRequest(buf, m)
 	case *api.TradeBatchRequest:
-		return AppendTradeBatchRequest(buf, m), nil
+		return AppendTradeBatchRequest(buf, m)
 	case *api.PriceResponse:
 		return AppendPriceResponse(buf, m)
 	case *api.BatchPriceResponse:

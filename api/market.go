@@ -81,8 +81,23 @@ type ListMarketsResponse struct {
 // query (weights over the owners, requested noise variance) plus the
 // consumer's private valuation, which the server uses only as the
 // accept/reject callback. (POST /v1/markets/{id}/trade)
+//
+// The weights come in one of two forms. The dense form leaves Owners
+// zero and sends one weight per data owner. The sparse form sets Owners
+// to the market's owner count and sends only the support: Support lists
+// ascending owner indices and Weights the weights aligned with them;
+// every other owner weighs zero. A query typically weights a few dozen
+// owners out of thousands, so the sparse form is far smaller, and the
+// server handles it in time proportional to the support.
 type TradeRequest struct {
-	// Weights has one entry per data owner.
+	// Owners selects the sparse form when nonzero and must then equal
+	// the market's owner count.
+	Owners int `json:"owners,omitempty"`
+	// Support lists the owners the sparse form weights: strictly
+	// increasing indices in [0, Owners). Empty in the dense form.
+	Support []int `json:"support,omitempty"`
+	// Weights has one entry per data owner in the dense form, and one
+	// per Support entry in the sparse form.
 	Weights []float64 `json:"weights"`
 	// NoiseVariance is the variance of the Laplace noise added to the
 	// answer; larger variance means cheaper, more private answers.

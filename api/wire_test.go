@@ -177,6 +177,10 @@ func samples(t *testing.T) map[string]any {
 		"trade_request": TradeRequest{
 			Weights: []float64{1, 0, 0.5}, NoiseVariance: 2, Valuation: 1.25,
 		},
+		"trade_request_sparse": TradeRequest{
+			Owners: 3, Support: []int{0, 2}, Weights: []float64{1, 0.5},
+			NoiseVariance: 2, Valuation: 1.25,
+		},
 		"trade_response": TradeResponse{TradeResult: TradeResult{
 			Round: 1, Reserve: 0.4, Posted: 0.9, Decision: "exploratory", Sold: true,
 			Revenue: 0.9, Compensation: 0.4, Profit: 0.5, Answer: 3.21, Regret: 0.35,

@@ -96,9 +96,10 @@ type Client struct {
 	skipCheck bool
 
 	// useBinary is set by WithBinary; binarySeen latches once any
-	// response carried the X-Binary-Protocol capability header. Both
-	// must hold before a hot call switches off JSON, which is what makes
-	// the codec safe against servers that predate it.
+	// response carried the X-Binary-Protocol capability header naming
+	// this SDK's codec version. Both must hold before a hot call switches
+	// off JSON, which is what makes the codec safe against servers that
+	// predate it or speak another version of it.
 	useBinary  bool
 	binarySeen atomic.Bool
 
@@ -349,7 +350,7 @@ func (c *Client) send(ctx context.Context, method, path string, body []byte, con
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
-	if resp.Header.Get(binary.ProtoHeader) != "" {
+	if resp.Header.Get(binary.ProtoHeader) == protoVersion {
 		c.binarySeen.Store(true)
 	}
 	if resp.StatusCode/100 != 2 {

@@ -14,15 +14,22 @@ import (
 // HTTP through the SDK alone: create a market of data owners with tanh
 // compensation contracts, settle batches of noisy linear queries from
 // concurrent consumers, then audit the ledger, the per-owner payouts,
-// and the market stats against each other. Run under -race in CI.
+// and the market stats against each other. It runs once per codec, so
+// over binary the concurrent consumers share the SDK's pooled sparse
+// trade scratch. Run under -race in CI.
 func TestHostedMarketEndToEnd(t *testing.T) {
+	t.Run("json", func(t *testing.T) { testHostedMarketEndToEnd(t) })
+	t.Run("binary", func(t *testing.T) { testHostedMarketEndToEnd(t, WithBinary()) })
+}
+
+func testHostedMarketEndToEnd(t *testing.T, opts ...Option) {
 	const (
 		owners    = 60
 		consumers = 4
 		batches   = 3
 		batchSize = 32
 	)
-	_, c := newBroker(t)
+	_, c := newBroker(t, opts...)
 	ctx := context.Background()
 
 	ownerSpecs := make([]api.OwnerSpec, owners)

@@ -123,7 +123,7 @@ func buildTradePool(owners, support, size int) (*tradePool, error) {
 		for _, i := range r.Perm(owners)[:support] {
 			w[i] = r.Normal(0, 1)
 		}
-		q, err := privacy.NewLinearQueryShared(w, 1)
+		q, err := privacy.NewLinearQuery(w, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -202,6 +202,7 @@ func runDenseLoop(pool *tradePool, duration time.Duration, workers, owners int) 
 		booksMu sync.Mutex
 		rng     = randx.New(7)
 		payout  = make(linalg.Vector, owners)
+		answers float64
 		rounds  int64
 	)
 	return measure("dense_loop", duration, workers, 0,
@@ -210,6 +211,7 @@ func runDenseLoop(pool *tradePool, duration time.Duration, workers, owners int) 
 			for time.Now().Before(deadline) {
 				t0 := time.Now()
 				q := pool.queries[k%len(pool.queries)]
+				weights := linalg.Vector(pool.reqs[k%len(pool.queries)].Weights)
 				valuation := pool.vals[k%len(pool.queries)]
 				k++
 				leak, err := q.Leakages(ranges)
@@ -232,10 +234,9 @@ func runDenseLoop(pool *tradePool, duration time.Duration, workers, owners int) 
 				}
 				booksMu.Lock()
 				if sold {
-					if _, err := q.Answer(values, rng); err != nil {
-						booksMu.Unlock()
-						return err
-					}
+					// The seed's dense answer, Σ wᵢ·dᵢ over every owner;
+					// q.Answer would sum over the support alone.
+					answers += weights.Dot(values) + rng.Laplace(0, q.NoiseScale())
 					if total := comps.Sum(); total > 0 {
 						for i, c := range comps { // dense payout update
 							payout[i] += reserve * c / total

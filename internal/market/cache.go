@@ -55,7 +55,7 @@ func newQuoteCache(capacity int) *quoteCache {
 // fingerprintQuery hashes the query identity the pipeline depends on —
 // owner count, noise variance, and the support's (index, weight) pairs
 // — with FNV-1a over the raw 64-bit words.
-func fingerprintQuery(q *privacy.LinearQuery, sup []int) uint64 {
+func fingerprintQuery(q *privacy.LinearQuery) uint64 {
 	const prime64 = 1099511628211
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) {
@@ -65,22 +65,24 @@ func fingerprintQuery(q *privacy.LinearQuery, sup []int) uint64 {
 			v >>= 8
 		}
 	}
-	mix(uint64(len(q.Weights)))
+	mix(uint64(q.Owners()))
 	mix(math.Float64bits(q.NoiseVariance))
-	for _, i := range sup {
+	weights := q.SupportWeights()
+	for k, i := range q.Support() {
 		mix(uint64(i))
-		mix(math.Float64bits(q.Weights[i]))
+		mix(math.Float64bits(weights[k]))
 	}
 	return h
 }
 
 // matches verifies a fingerprint hit is a true identity match.
-func (e *cacheEntry) matches(q *privacy.LinearQuery, sup []int) bool {
-	if e.owners != len(q.Weights) || e.variance != q.NoiseVariance || len(e.support) != len(sup) {
+func (e *cacheEntry) matches(q *privacy.LinearQuery) bool {
+	sup, weights := q.Support(), q.SupportWeights()
+	if e.owners != q.Owners() || e.variance != q.NoiseVariance || len(e.support) != len(sup) {
 		return false
 	}
 	for k, i := range e.support {
-		if sup[k] != i || e.weights[k] != q.Weights[i] {
+		if sup[k] != i || e.weights[k] != weights[k] {
 			return false
 		}
 	}
@@ -89,12 +91,12 @@ func (e *cacheEntry) matches(q *privacy.LinearQuery, sup []int) bool {
 
 // lookup returns the cached context for q if present, along with the
 // fingerprint (so a following insert doesn't rehash).
-func (c *quoteCache) lookup(q *privacy.LinearQuery, sup []int) (*QuoteContext, uint64, bool) {
-	key := fingerprintQuery(q, sup)
+func (c *quoteCache) lookup(q *privacy.LinearQuery) (*QuoteContext, uint64, bool) {
+	key := fingerprintQuery(q)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
-	if !ok || !e.matches(q, sup) {
+	if !ok || !e.matches(q) {
 		return nil, key, false
 	}
 	c.moveToFront(e)
@@ -104,17 +106,13 @@ func (c *quoteCache) lookup(q *privacy.LinearQuery, sup []int) (*QuoteContext, u
 // insert stores a freshly prepared context under key, evicting the
 // least recently used entry past capacity. ctx must never be mutated
 // after insertion.
-func (c *quoteCache) insert(key uint64, q *privacy.LinearQuery, sup []int, ctx *QuoteContext) {
-	weights := make([]float64, len(sup))
-	for k, i := range sup {
-		weights[k] = q.Weights[i]
-	}
+func (c *quoteCache) insert(key uint64, q *privacy.LinearQuery, ctx *QuoteContext) {
 	e := &cacheEntry{
 		key:      key,
-		owners:   len(q.Weights),
+		owners:   q.Owners(),
 		variance: q.NoiseVariance,
 		support:  ctx.Support,
-		weights:  weights,
+		weights:  append([]float64(nil), q.SupportWeights()...),
 		ctx:      ctx,
 	}
 	c.mu.Lock()

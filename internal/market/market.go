@@ -270,9 +270,8 @@ func (b *Broker) PrepareInto(dst *QuoteContext, q *privacy.LinearQuery) error {
 // caller must return ctx to b.ctxPool once the trade settles; cached
 // contexts are shared, immutable, and never released.
 func (b *Broker) quoteFor(q *privacy.LinearQuery) (ctx *QuoteContext, pooled bool, err error) {
-	sup := q.Support()
-	if b.cache != nil && len(sup) <= maxCachedSupport {
-		ctx, key, ok := b.cache.lookup(q, sup)
+	if b.cache != nil && len(q.Support()) <= maxCachedSupport {
+		ctx, key, ok := b.cache.lookup(q)
 		if ok {
 			return ctx, false, nil
 		}
@@ -283,7 +282,7 @@ func (b *Broker) quoteFor(q *privacy.LinearQuery) (ctx *QuoteContext, pooled boo
 		if err := b.PrepareInto(ctx, q); err != nil {
 			return nil, false, err
 		}
-		b.cache.insert(key, q, sup, ctx)
+		b.cache.insert(key, q, ctx)
 		return ctx, false, nil
 	}
 	c := b.ctxPool.Get().(*QuoteContext)

@@ -241,11 +241,11 @@ func TestConsumerQueriesAreDiverse(t *testing.T) {
 				t.Fatal(err)
 			}
 			variances[q.Q.NoiseVariance] = true
-			if len(q.Q.Weights) != 30 {
-				t.Fatalf("query over %d owners", len(q.Q.Weights))
+			if q.Q.Owners() != 30 {
+				t.Fatalf("query over %d owners", q.Q.Owners())
 			}
-			if uniform && q.Q.Weights.NormInf() > 1 {
-				t.Fatalf("uniform weights out of range: %v", q.Q.Weights.NormInf())
+			if uniform && q.Q.SupportWeights().NormInf() > 1 {
+				t.Fatalf("uniform weights out of range: %v", q.Q.SupportWeights().NormInf())
 			}
 			// Valuations derive from unit features with positive theta.
 			if q.Valuation < 0 || q.Valuation > theta.Norm2()+1e-9 {

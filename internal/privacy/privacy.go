@@ -24,82 +24,70 @@ import (
 // owners' values with Laplace noise calibrated to the requested variance.
 // The pair (weights, variance) is exactly the customization surface the
 // paper gives consumers — the analysis (weights) and the accuracy (noise).
+//
+// A query holds its weights sparsely: the owner count, the ascending
+// indices of the nonzero weights (the support), and the weights aligned
+// with them. Real consumer queries weight a small subset of owners, and
+// every owner outside the support has exactly zero leakage and zero
+// compensation (ε = |0|·Δ/b = 0, π(0) = 0) and adds nothing to the
+// answer, so everything a query feeds costs O(support), not O(owners).
+// Build queries through the constructors; the zero value spans no
+// owners.
 type LinearQuery struct {
-	// Weights has one entry per data owner.
-	Weights linalg.Vector
 	// NoiseVariance is the variance of the Laplace noise added to the true
 	// answer; larger variance means cheaper, more private answers.
 	NoiseVariance float64
 
-	// support caches the ascending indices of nonzero weights. Real
-	// consumer queries weight a small subset of owners, and every
-	// owner outside the support has exactly zero leakage and zero
-	// compensation (ε = |0|·Δ/b = 0, π(0) = 0), so the broker pipeline
-	// only ever needs these indices. Constructors always populate it;
-	// a query built as a struct literal gets it recomputed per call.
+	owners  int
 	support []int
+	weights linalg.Vector
 }
 
-// validateQuery is the shared constructor validation: non-empty finite
-// weights and a positive, finite noise variance.
-func validateQuery(weights linalg.Vector, noiseVariance float64) error {
-	if len(weights) == 0 {
-		return fmt.Errorf("privacy: query needs at least one weight")
-	}
-	if !weights.IsFinite() {
-		return fmt.Errorf("privacy: query weights must be finite")
-	}
+// validateVariance rejects a non-positive or non-finite noise variance.
+func validateVariance(noiseVariance float64) error {
 	if noiseVariance <= 0 || math.IsInf(noiseVariance, 0) || math.IsNaN(noiseVariance) {
 		return fmt.Errorf("privacy: noise variance must be positive and finite, got %g", noiseVariance)
 	}
 	return nil
 }
 
-// supportOf collects the ascending indices of nonzero weights. The
-// result is never nil, so constructors can distinguish "computed empty"
-// from "not computed".
-func supportOf(weights linalg.Vector) []int {
-	nz := 0
-	for _, w := range weights {
-		if w != 0 {
-			nz++
-		}
+// NewLinearQuery validates and builds a query from one weight per owner,
+// keeping only the nonzero weights (w != 0, so -0.0 drops out too) in
+// one scan. The query copies what it keeps, so the caller keeps
+// ownership of its slice.
+func NewLinearQuery(weights linalg.Vector, noiseVariance float64) (*LinearQuery, error) {
+	if len(weights) == 0 {
+		return nil, fmt.Errorf("privacy: query needs at least one weight")
 	}
-	support := make([]int, 0, nz)
+	if !weights.IsFinite() {
+		return nil, fmt.Errorf("privacy: query weights must be finite")
+	}
+	if err := validateVariance(noiseVariance); err != nil {
+		return nil, err
+	}
+	q := &LinearQuery{NoiseVariance: noiseVariance, owners: len(weights), support: []int{}}
 	for i, w := range weights {
 		if w != 0 {
-			support = append(support, i)
+			q.support = append(q.support, i)
+			q.weights = append(q.weights, w)
 		}
 	}
-	return support
+	return q, nil
 }
 
-// NewLinearQuery validates and builds a query. The weights are cloned,
-// so the caller keeps ownership of its slice.
-func NewLinearQuery(weights linalg.Vector, noiseVariance float64) (*LinearQuery, error) {
-	if err := validateQuery(weights, noiseVariance); err != nil {
-		return nil, err
-	}
-	w := weights.Clone()
-	return &LinearQuery{Weights: w, NoiseVariance: noiseVariance, support: supportOf(w)}, nil
-}
-
-// NewLinearQueryShared is NewLinearQuery without the defensive copy:
-// the query aliases the caller's weights, which must not be mutated for
-// the query's lifetime. It exists for serving hot paths where the
-// weights buffer is request-scoped and the per-query clone would be the
-// largest allocation in the trade loop.
+// NewLinearQueryShared is NewLinearQuery: a query keeps its own copy of
+// the support, so it never aliases the caller's weights.
+//
+// Deprecated: Use NewLinearQuery.
 func NewLinearQueryShared(weights linalg.Vector, noiseVariance float64) (*LinearQuery, error) {
-	if err := validateQuery(weights, noiseVariance); err != nil {
-		return nil, err
-	}
-	return &LinearQuery{Weights: weights, NoiseVariance: noiseVariance, support: supportOf(weights)}, nil
+	return NewLinearQuery(weights, noiseVariance)
 }
 
 // NewSparseLinearQuery builds a query over n owners from its support
 // alone: indices must be strictly increasing in [0, n), weights finite
 // and aligned with indices. Explicit zero weights are allowed (they
-// simply drop out of the support).
+// simply drop out of the support). It costs O(len(indices)), whatever n
+// is.
 func NewSparseLinearQuery(n int, indices []int, weights linalg.Vector, noiseVariance float64) (*LinearQuery, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("privacy: query needs at least one owner, got %d", n)
@@ -110,42 +98,57 @@ func NewSparseLinearQuery(n int, indices []int, weights linalg.Vector, noiseVari
 	if !weights.IsFinite() {
 		return nil, fmt.Errorf("privacy: query weights must be finite")
 	}
-	if noiseVariance <= 0 || math.IsInf(noiseVariance, 0) || math.IsNaN(noiseVariance) {
-		return nil, fmt.Errorf("privacy: noise variance must be positive and finite, got %g", noiseVariance)
+	if err := validateVariance(noiseVariance); err != nil {
+		return nil, err
 	}
-	dense := make(linalg.Vector, n)
+	q := &LinearQuery{
+		NoiseVariance: noiseVariance,
+		owners:        n,
+		support:       make([]int, 0, len(indices)),
+		weights:       make(linalg.Vector, 0, len(indices)),
+	}
 	prev := -1
 	for k, i := range indices {
 		if i <= prev || i >= n {
 			return nil, fmt.Errorf("privacy: support indices must be strictly increasing in [0, %d), got %d at position %d", n, i, k)
 		}
 		prev = i
-		dense[i] = weights[k]
+		if w := weights[k]; w != 0 {
+			q.support = append(q.support, i)
+			q.weights = append(q.weights, w)
+		}
 	}
-	return &LinearQuery{Weights: dense, NoiseVariance: noiseVariance, support: supportOf(dense)}, nil
+	return q, nil
 }
 
+// Owners returns the number of owners the query spans.
+func (q *LinearQuery) Owners() int { return q.owners }
+
 // Support returns the ascending indices of the query's nonzero weights.
-// Queries built through a constructor return the cached support; a
-// struct-literal query gets a fresh scan (and allocation) per call —
-// deliberately not cached here, so concurrent readers of a shared query
-// never race on the lazy write.
-func (q *LinearQuery) Support() []int {
-	if q.support != nil {
-		return q.support
-	}
-	return supportOf(q.Weights)
-}
+// The slice is the query's own; callers must not modify it.
+func (q *LinearQuery) Support() []int { return q.support }
+
+// SupportWeights returns the query's nonzero weights, aligned entry for
+// entry with Support. The slice is the query's own; callers must not
+// modify it.
+func (q *LinearQuery) SupportWeights() linalg.Vector { return q.weights }
 
 // NoiseScale returns the Laplace scale b = √(variance/2).
 func (q *LinearQuery) NoiseScale() float64 { return math.Sqrt(q.NoiseVariance / 2) }
 
-// TrueAnswer returns Σ wᵢ·dᵢ over the owners' data values.
+// TrueAnswer returns Σ wᵢ·dᵢ over the owners' data values, summed over
+// the support in ascending owner order. For finite data this is bit for
+// bit the dense sum: the terms it skips are ±0, and adding ±0 to a sum
+// that starts at +0 never changes it.
 func (q *LinearQuery) TrueAnswer(data linalg.Vector) (float64, error) {
-	if len(data) != len(q.Weights) {
-		return 0, fmt.Errorf("privacy: query over %d owners, dataset has %d", len(q.Weights), len(data))
+	if len(data) != q.owners {
+		return 0, fmt.Errorf("privacy: query over %d owners, dataset has %d", q.owners, len(data))
 	}
-	return q.Weights.Dot(data), nil
+	var s float64
+	for k, i := range q.support {
+		s += q.weights[k] * data[i]
+	}
+	return s, nil
 }
 
 // Answer returns the noisy answer: the true answer plus Laplace noise of
@@ -178,16 +181,17 @@ func ValidateRanges(ranges linalg.Vector) error {
 // analysis of the Laplace mechanism: changing owner i's value by at most
 // Δᵢ shifts the true answer by at most |wᵢ|·Δᵢ.
 //
-// ranges must be non-negative and finite — validate once at
-// construction with ValidateRanges; this hot loop trusts its input.
+// Owners outside the support leak exactly zero. ranges must be
+// non-negative and finite — validate once at construction with
+// ValidateRanges; the leakage loop trusts its input.
 func (q *LinearQuery) Leakages(ranges linalg.Vector) (linalg.Vector, error) {
-	if len(ranges) != len(q.Weights) {
-		return nil, fmt.Errorf("privacy: %d ranges for %d owners", len(ranges), len(q.Weights))
+	sup, err := q.SupportLeakages(nil, ranges)
+	if err != nil {
+		return nil, err
 	}
-	b := q.NoiseScale()
-	eps := make(linalg.Vector, len(q.Weights))
-	for i, w := range q.Weights {
-		eps[i] = math.Abs(w) * ranges[i] / b
+	eps := make(linalg.Vector, q.owners)
+	for k, i := range q.support {
+		eps[i] = sup[k]
 	}
 	return eps, nil
 }
@@ -199,13 +203,13 @@ func (q *LinearQuery) Leakages(ranges linalg.Vector) (linalg.Vector, error) {
 // The values are bit-identical to the corresponding dense Leakages
 // entries. ranges must be non-negative and finite (ValidateRanges).
 func (q *LinearQuery) SupportLeakages(dst linalg.Vector, ranges linalg.Vector) (linalg.Vector, error) {
-	if len(ranges) != len(q.Weights) {
-		return nil, fmt.Errorf("privacy: %d ranges for %d owners", len(ranges), len(q.Weights))
+	if len(ranges) != q.owners {
+		return nil, fmt.Errorf("privacy: %d ranges for %d owners", len(ranges), q.owners)
 	}
 	b := q.NoiseScale()
 	dst = dst[:0]
-	for _, i := range q.Support() {
-		dst = append(dst, math.Abs(q.Weights[i])*ranges[i]/b)
+	for k, i := range q.support {
+		dst = append(dst, math.Abs(q.weights[k])*ranges[i]/b)
 	}
 	return dst, nil
 }

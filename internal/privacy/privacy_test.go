@@ -2,6 +2,9 @@ package privacy
 
 import (
 	"math"
+	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -26,11 +29,14 @@ func TestNewLinearQueryValidation(t *testing.T) {
 	if got := q.NoiseScale(); got != 2 {
 		t.Fatalf("NoiseScale = %v, want 2 for variance 8", got)
 	}
+	if _, err := NewLinearQuery(linalg.VectorOf(math.Inf(1)), 1); err == nil {
+		t.Fatal("expected error for Inf weight")
+	}
 	// Weights are copied, not aliased.
 	w := linalg.VectorOf(5)
 	q2, _ := NewLinearQuery(w, 1)
 	w[0] = 99
-	if q2.Weights[0] != 5 {
+	if q2.SupportWeights()[0] != 5 {
 		t.Fatal("query aliased caller weights")
 	}
 }
@@ -221,13 +227,6 @@ func TestSupportRepresentation(t *testing.T) {
 	if len(sup) != 2 || sup[0] != 1 || sup[1] != 3 {
 		t.Fatalf("support = %v, want [1 3]", sup)
 	}
-	// Struct-literal queries (no constructor) still get a support, just
-	// a freshly computed one per call.
-	lit := &LinearQuery{Weights: linalg.VectorOf(1, 0, 3), NoiseVariance: 1}
-	sup = lit.Support()
-	if len(sup) != 2 || sup[0] != 0 || sup[1] != 2 {
-		t.Fatalf("literal support = %v, want [0 2]", sup)
-	}
 	// An all-zero query has an empty, non-nil support.
 	zq, err := NewLinearQuery(linalg.VectorOf(0, 0), 1)
 	if err != nil {
@@ -238,33 +237,13 @@ func TestSupportRepresentation(t *testing.T) {
 	}
 }
 
-func TestNewLinearQuerySharedAliases(t *testing.T) {
-	w := linalg.VectorOf(1, 0, 2)
-	q, err := NewLinearQueryShared(w, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &q.Weights[0] != &w[0] {
-		t.Fatal("NewLinearQueryShared copied the weights")
-	}
-	if _, err := NewLinearQueryShared(linalg.VectorOf(math.Inf(1)), 1); err == nil {
-		t.Fatal("expected error for Inf weight")
-	}
-	if _, err := NewLinearQueryShared(nil, 1); err == nil {
-		t.Fatal("expected error for empty weights")
-	}
-	if _, err := NewLinearQueryShared(linalg.VectorOf(1), math.NaN()); err == nil {
-		t.Fatal("expected error for NaN variance")
-	}
-}
-
 func TestNewSparseLinearQuery(t *testing.T) {
 	q, err := NewSparseLinearQuery(6, []int{1, 4}, linalg.VectorOf(2, -3), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !q.Weights.Equal(linalg.VectorOf(0, 2, 0, 0, -3, 0), 0) {
-		t.Fatalf("dense weights = %v", q.Weights)
+	if q.Owners() != 6 || !q.SupportWeights().Equal(linalg.VectorOf(2, -3), 0) {
+		t.Fatalf("owners %d, support weights %v", q.Owners(), q.SupportWeights())
 	}
 	sup := q.Support()
 	if len(sup) != 2 || sup[0] != 1 || sup[1] != 4 {
@@ -301,6 +280,37 @@ func TestNewSparseLinearQuery(t *testing.T) {
 	}
 }
 
+// denseLeakages is the seed's dense leakage loop, kept as the test
+// reference: εᵢ = |wᵢ|·Δᵢ/b over every owner.
+func denseLeakages(weights, ranges linalg.Vector, variance float64) linalg.Vector {
+	b := math.Sqrt(variance / 2)
+	eps := make(linalg.Vector, len(weights))
+	for i, w := range weights {
+		eps[i] = math.Abs(w) * ranges[i] / b
+	}
+	return eps
+}
+
+// randomDenseWeights draws n mostly-zero weights of both signs, with
+// some explicit -0.0 entries (which the support excludes, as w != 0
+// does) and, now and then, no nonzero weight at all.
+func randomDenseWeights(r *randx.RNG, n int) linalg.Vector {
+	weights := make(linalg.Vector, n)
+	if r.Intn(10) == 0 {
+		return weights
+	}
+	for i := range weights {
+		switch u := r.Float64(); {
+		case u < 0.1:
+			weights[i] = math.Copysign(0, -1)
+		case u < 0.6: // mostly sparse
+		default:
+			weights[i] = r.Normal(0, 2)
+		}
+	}
+	return weights
+}
+
 // TestSupportPipelineMatchesDense pins the sparse leakage/compensation
 // path bit-for-bit against the dense seed pipeline: the support entries
 // must be identical float64s, and every off-support dense entry must be
@@ -311,13 +321,7 @@ func TestSupportPipelineMatchesDense(t *testing.T) {
 	lc, _ := NewLinearContract(0.5)
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + r.Intn(40)
-		weights := make(linalg.Vector, n)
-		for i := range weights {
-			if r.Float64() < 0.6 { // mostly sparse
-				continue
-			}
-			weights[i] = r.Normal(0, 2)
-		}
+		weights := randomDenseWeights(r, n)
 		ranges := make(linalg.Vector, n)
 		contracts := make([]Contract, n)
 		for i := range ranges {
@@ -333,9 +337,9 @@ func TestSupportPipelineMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		denseLeak, err := q.Leakages(ranges)
-		if err != nil {
-			t.Fatal(err)
+		denseLeak := denseLeakages(weights, ranges, variance)
+		if got, err := q.Leakages(ranges); err != nil || !reflect.DeepEqual(got, denseLeak) {
+			t.Fatalf("trial %d: Leakages = %v (err %v), dense reference %v", trial, got, err, denseLeak)
 		}
 		denseComp, err := Compensations(denseLeak, contracts)
 		if err != nil {
@@ -385,5 +389,79 @@ func TestSupportPipelineErrors(t *testing.T) {
 	}
 	if _, err := SupportCompensations(nil, []int{0}, linalg.VectorOf(1), []Contract{nil}); err == nil {
 		t.Fatal("expected nil contract error")
+	}
+}
+
+// TestTrueAnswerMatchesDense pins the support-only TrueAnswer bit for
+// bit against the seed's dense Σ wᵢ·dᵢ over every owner, across random
+// queries with negative and -0.0 weights and empty supports, built both
+// from dense weights and from their support.
+func TestTrueAnswerMatchesDense(t *testing.T) {
+	r := randx.New(7)
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + r.Intn(60)
+		weights := randomDenseWeights(r, n)
+		data := r.NormalVector(n, 3)
+		want := weights.Dot(data)
+		var idx []int
+		var sw linalg.Vector
+		for i, w := range weights {
+			if r.Bool() || w != 0 { // the sparse form may list zeros too
+				idx = append(idx, i)
+				sw = append(sw, w)
+			}
+		}
+		dense, err := NewLinearQuery(weights, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sparse, err := NewSparseLinearQuery(n, idx, sw, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []*LinearQuery{dense, sparse} {
+			got, err := q.TrueAnswer(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d: TrueAnswer %v (%#x), dense %v (%#x)",
+					trial, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+		if !slices.Equal(dense.Support(), sparse.Support()) ||
+			!slices.Equal(dense.SupportWeights(), sparse.SupportWeights()) {
+			t.Fatalf("trial %d: dense-built support %v/%v, sparse-built %v/%v", trial,
+				dense.Support(), dense.SupportWeights(), sparse.Support(), sparse.SupportWeights())
+		}
+	}
+}
+
+var sinkQuery *LinearQuery
+
+// TestNewSparseLinearQueryAllocs pins that building a query from its
+// support costs O(support) memory, not O(owners): 32 entries over a
+// 65,536-owner market must stay under 2 KiB per call (a dense copy of
+// the weights alone would be 512 KiB).
+func TestNewSparseLinearQueryAllocs(t *testing.T) {
+	const owners, entries, calls = 1 << 16, 32, 200
+	idx := make([]int, entries)
+	w := make(linalg.Vector, entries)
+	for k := range idx {
+		idx[k] = k * (owners / entries)
+		w[k] = float64(k) + 0.5
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		q, err := NewSparseLinearQuery(owners, idx, w, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sinkQuery = q
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 2<<10 {
+		t.Fatalf("NewSparseLinearQuery allocates %d B per call at %d owners, want < 2 KiB", per, owners)
 	}
 }

@@ -11,8 +11,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"datamarket/api"
@@ -172,19 +174,57 @@ func TestCrossCodecMultiBatch(t *testing.T) {
 }
 
 // TestCrossCodecTradeBatch replays the same trades against twin seeded
-// markets, one per codec.
+// markets, one per codec, and a third market that gets every valid
+// sparse trade in its dense form over JSON. All three must agree: the
+// codecs carry both forms faithfully, and a sparse trade — an empty
+// support included — settles exactly as its dense form. Malformed
+// trades, one per validation rule, fail only their own slot with the
+// same message under both codecs.
 func TestCrossCodecTradeBatch(t *testing.T) {
 	_, c := newTestServer(t)
 	gen := marketFixture(t, c, "tm-json", 8)
 	marketFixture(t, c, "tm-bin", 8)
+	marketFixture(t, c, "tm-dense", 8)
 	r := randx.New(5)
-	trades := make([]TradeRequest, 12)
-	for i := range trades {
-		trades[i] = TradeRequest{Weights: gen(r), NoiseVariance: 1, Valuation: 2 * r.Float64()}
+	var trades, dense []TradeRequest
+	bad := map[int]string{} // slot → the rule its trade breaks
+	add := func(trade, denseForm TradeRequest) {
+		trades = append(trades, trade)
+		dense = append(dense, denseForm)
 	}
-	trades[3].NoiseVariance = -1 // per-trade validation error, same both codecs
+	for i := 0; i < 12; i++ {
+		d := TradeRequest{Weights: gen(r), NoiseVariance: 1, Valuation: 2 * r.Float64()}
+		if i == 3 {
+			d.NoiseVariance = -1 // per-trade validation error, same both codecs
+			bad[i] = "bad noise"
+		}
+		trade := d
+		if i%2 == 1 {
+			trade = sparseOf(d)
+		}
+		add(trade, d)
+	}
+	add(TradeRequest{Owners: 8, Weights: []float64{}, NoiseVariance: 1, Valuation: 1.5},
+		TradeRequest{Weights: make([]float64, 8), NoiseVariance: 1, Valuation: 1.5})
+	for _, m := range []struct {
+		rule  string
+		trade TradeRequest
+	}{
+		{"owners differ from the market's", TradeRequest{Owners: 7, Support: []int{1}, Weights: []float64{1}}},
+		{"index out of range", TradeRequest{Owners: 8, Support: []int{2, 8}, Weights: []float64{1, 1}}},
+		{"unsorted index", TradeRequest{Owners: 8, Support: []int{5, 2}, Weights: []float64{1, 1}}},
+		{"duplicate index", TradeRequest{Owners: 8, Support: []int{3, 3}, Weights: []float64{1, 1}}},
+		{"support/weights length mismatch", TradeRequest{Owners: 8, Support: []int{1, 2}, Weights: []float64{1}}},
+		// Eight weights: read as dense, this trade would be valid.
+		{"support without owners", TradeRequest{Support: []int{1}, Weights: []float64{0, 1, 0, 0, 0, 0, 0, 0}}},
+		{"dense of the wrong length", TradeRequest{Weights: []float64{1, 1}}},
+	} {
+		m.trade.NoiseVariance, m.trade.Valuation = 1, 1
+		bad[len(trades)] = m.rule
+		add(m.trade, m.trade)
+	}
 
-	var jsonResp, binResp TradeBatchResponse
+	var jsonResp, binResp, denseResp TradeBatchResponse
 	c.mustDo("POST", "/v1/markets/tm-json/trade/batch",
 		TradeBatchRequest{Trades: trades}, &jsonResp, http.StatusOK)
 	status, ct := c.binDo("POST", "/v1/markets/tm-bin/trade/batch",
@@ -192,11 +232,37 @@ func TestCrossCodecTradeBatch(t *testing.T) {
 	if status != http.StatusOK || ct != binary.ContentType {
 		t.Fatalf("binary trade batch: status %d, Content-Type %q", status, ct)
 	}
+	c.mustDo("POST", "/v1/markets/tm-dense/trade/batch",
+		TradeBatchRequest{Trades: dense}, &denseResp, http.StatusOK)
 	if !reflect.DeepEqual(jsonResp, binResp) {
 		t.Errorf("codecs disagree:\n json: %+v\n  bin: %+v", jsonResp, binResp)
 	}
-	if binResp.Results[3].Error == "" {
-		t.Error("per-trade validation error lost in binary codec")
+	if !reflect.DeepEqual(jsonResp, denseResp) {
+		t.Errorf("sparse and dense forms disagree:\nsparse: %+v\n dense: %+v", jsonResp, denseResp)
+	}
+	for i, res := range binResp.Results {
+		if rule, isBad := bad[i]; isBad != (res.Error != "") {
+			t.Errorf("slot %d (%q): error %q", i, rule, res.Error)
+		}
+	}
+
+	// JSON cannot carry a non-finite weight and the binary decoder
+	// rejects the whole frame, so the finiteness rule is pinned on
+	// marketQuery itself, for both forms.
+	m, err := newHostedMarket(CreateMarketRequest{ID: "finite", Owners: []OwnerSpec{
+		{Value: 1, Range: 1, Contract: ContractSpec{Type: "tanh", Rho: 1, Eta: 10}},
+		{Value: 2, Range: 1, Contract: ContractSpec{Type: "tanh", Rho: 1, Eta: 10}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, trade := range []TradeRequest{
+		{Owners: 2, Support: []int{1}, Weights: []float64{math.Inf(1)}, NoiseVariance: 1},
+		{Weights: []float64{0, math.NaN()}, NoiseVariance: 1},
+	} {
+		if _, err := marketQuery(m, trade); err == nil {
+			t.Errorf("marketQuery accepted non-finite weights %v", trade.Weights)
+		}
 	}
 }
 
@@ -277,8 +343,8 @@ func TestBinaryCapabilityHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got := resp.Header.Get(binary.ProtoHeader); got != "1" {
-		t.Errorf("%s = %q, want \"1\"", binary.ProtoHeader, got)
+	if got, want := resp.Header.Get(binary.ProtoHeader), strconv.Itoa(int(binary.Version)); got != want {
+		t.Errorf("%s = %q, want %q", binary.ProtoHeader, got, want)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("JSON-by-default violated: Content-Type %q", ct)

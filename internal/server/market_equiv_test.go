@@ -14,7 +14,30 @@ import (
 	"datamarket/internal/randx"
 )
 
+// sparseOf rewrites a dense trade into the sparse form.
+func sparseOf(dense TradeRequest) TradeRequest {
+	s := TradeRequest{
+		Owners: len(dense.Weights), Weights: []float64{},
+		NoiseVariance: dense.NoiseVariance, Valuation: dense.Valuation,
+	}
+	for i, w := range dense.Weights {
+		if w != 0 {
+			s.Support = append(s.Support, i)
+			s.Weights = append(s.Weights, w)
+		}
+	}
+	return s
+}
+
+// TestHostedMarketMatchesLocalBroker runs once with every trade dense
+// on the wire and once with every other trade sent sparse; the local
+// broker always gets the dense form.
 func TestHostedMarketMatchesLocalBroker(t *testing.T) {
+	t.Run("dense", func(t *testing.T) { testHostedMarketMatchesLocalBroker(t, false) })
+	t.Run("alternate sparse", func(t *testing.T) { testHostedMarketMatchesLocalBroker(t, true) })
+}
+
+func testHostedMarketMatchesLocalBroker(t *testing.T, sparse bool) {
 	const (
 		owners = 120
 		rounds = 60
@@ -53,6 +76,12 @@ func TestHostedMarketMatchesLocalBroker(t *testing.T) {
 		}
 		return TradeRequest{Weights: w, NoiseVariance: 1, Valuation: r.Uniform(0, 8)}
 	}
+	wire := func(i int, req TradeRequest) TradeRequest {
+		if sparse && i%2 == 1 {
+			return sparseOf(req)
+		}
+		return req
+	}
 	checkTx := func(round int, got TradeResult, tx market.Transaction) {
 		t.Helper()
 		want := tradeResult(tx)
@@ -70,7 +99,7 @@ func TestHostedMarketMatchesLocalBroker(t *testing.T) {
 			req = mkTrade()
 		}
 		var resp TradeResponse
-		c.mustDo("POST", "/v1/markets/equiv/trade", req, &resp, http.StatusOK)
+		c.mustDo("POST", "/v1/markets/equiv/trade", wire(i, req), &resp, http.StatusOK)
 		q, err := marketQuery(local, req)
 		if err != nil {
 			t.Fatal(err)
@@ -84,12 +113,12 @@ func TestHostedMarketMatchesLocalBroker(t *testing.T) {
 	trades := make([]TradeRequest, batch)
 	queries := make([]market.Query, batch)
 	for i := range trades {
-		trades[i] = mkTrade()
-		q, err := marketQuery(local, trades[i])
+		req := mkTrade()
+		q, err := marketQuery(local, req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		queries[i] = q
+		trades[i], queries[i] = wire(i, req), q
 	}
 	var batchResp TradeBatchResponse
 	c.mustDo("POST", "/v1/markets/equiv/trade/batch",

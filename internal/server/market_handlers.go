@@ -26,20 +26,31 @@ func tradeResult(tx market.Transaction) TradeResult {
 }
 
 // marketQuery validates one trade request against the market and builds
-// the underlying noisy linear query.
+// the underlying noisy linear query. The sparse form costs O(support);
+// the dense form is converted to it in one scan of its weights.
 func marketQuery(m *HostedMarket, req TradeRequest) (market.Query, error) {
-	if len(req.Weights) != m.owners {
-		return market.Query{}, fmt.Errorf("query has %d weights, market has %d owners",
-			len(req.Weights), m.owners)
+	owners := req.Owners
+	if owners == 0 {
+		if len(req.Support) > 0 {
+			return market.Query{}, fmt.Errorf("query lists %d support indices without an owner count", len(req.Support))
+		}
+		owners = len(req.Weights)
+	}
+	if owners != m.owners {
+		return market.Query{}, fmt.Errorf("query is over %d owners, market has %d owners", owners, m.owners)
 	}
 	if !isFinite(req.Valuation) {
 		return market.Query{}, fmt.Errorf("valuation must be finite")
 	}
-	// The request's weight slice is private to this trade and the trade
-	// finishes before the request body (or its pooled decode scratch) is
-	// recycled, so the query can alias it instead of cloning: that clone
-	// was the last O(owners) allocation on the serving hot path.
-	q, err := privacy.NewLinearQueryShared(req.Weights, req.NoiseVariance)
+	var (
+		q   *privacy.LinearQuery
+		err error
+	)
+	if req.Owners == 0 {
+		q, err = privacy.NewLinearQuery(req.Weights, req.NoiseVariance)
+	} else {
+		q, err = privacy.NewSparseLinearQuery(req.Owners, req.Support, req.Weights, req.NoiseVariance)
+	}
 	if err != nil {
 		return market.Query{}, err
 	}

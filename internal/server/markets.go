@@ -26,9 +26,10 @@ var (
 )
 
 // MaxOwners caps a hosted market's owner population. Each owner costs a
-// few machine words of broker state plus one weight per trade request,
-// and trade bodies carry one weight per owner, so 65536 owners keeps a
-// full-population trade at ~1.5 MB of JSON — well inside maxBodyBytes.
+// few machine words of broker state. A sparse trade carries only its
+// support, but a dense one carries one weight per owner, so the cap
+// keeps a full-population dense trade at ~1.5 MB of JSON — well inside
+// maxBodyBytes.
 const MaxOwners = 65536
 
 // DefaultMarketFeatureDim is the aggregation dimension used when a
