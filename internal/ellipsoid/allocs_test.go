@@ -2,32 +2,31 @@
 
 package ellipsoid
 
-import (
-	"testing"
-
-	"datamarket/internal/randx"
-)
+import "testing"
 
 // TestSupportCutZeroAllocs is the regression guard for the
 // zero-allocation hot path: after the per-ellipsoid scratch is warm,
-// Support and Cut must not allocate at all. (Skipped under -race, whose
-// instrumentation perturbs allocation counts.)
+// Support and Cut must not allocate at all, on dense probes and on the
+// 13-hot ones whose nonzero indices Support gathers into scratch.
+// (Skipped under -race, whose instrumentation perturbs allocation
+// counts.)
 func TestSupportCutZeroAllocs(t *testing.T) {
-	for _, n := range []int{16, 128} {
-		e, err := NewBall(n, 4)
+	for _, s := range []benchShape{{16, 0}, {128, 0}, {128, 13}, {1024, 13}} {
+		e, err := NewBall(s.n, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		x := randx.New(1).OnSphere(n)
-		// Warm the scratch buffer; the first Cut is allowed its one-time
-		// allocation.
-		e.Cut(x, e.c.Dot(x))
+		x := benchDirections(s, 1)[0]
+		// Warm the scratch buffers; the first Support and Cut are
+		// allowed their one-time allocations.
+		lo, hi := e.Support(x)
+		e.Cut(x, (lo+hi)/2)
 
 		if got := testing.AllocsPerRun(200, func() {
 			lo, hi := e.Support(x)
 			e.Cut(x, (lo+hi)/2)
 		}); got != 0 {
-			t.Fatalf("n=%d: Support+Cut allocated %v times per round, want 0", n, got)
+			t.Fatalf("%v: Support+Cut allocated %v times per round, want 0", s, got)
 		}
 	}
 }

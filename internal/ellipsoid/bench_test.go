@@ -62,6 +62,7 @@ func BenchmarkSupport(b *testing.B) {
 				b.Fatal(err)
 			}
 			dirs := benchDirections(s, 256)
+			e.Support(dirs[0]) // warm the per-ellipsoid scratch
 			var sink float64
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -114,28 +115,33 @@ func BenchmarkCut(b *testing.B) {
 // BenchmarkPriceRoundKernel chains Support and Cut the way one pricing
 // round does: probe the value interval, then cut at the midpoint.
 func BenchmarkPriceRoundKernel(b *testing.B) {
-	const n, resetEvery = 16, 512
-	e, err := NewBall(n, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dirs := benchDirections(benchShape{n: n}, resetEvery)
-	e.Cut(dirs[0], e.c.Dot(dirs[0]))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%resetEvery == 0 {
-			b.StopTimer()
-			fresh, err := NewBall(n, 4)
+	const resetEvery = 512
+	for _, s := range benchShapes {
+		b.Run(s.String(), func(b *testing.B) {
+			e, err := NewBall(s.n, 4)
 			if err != nil {
 				b.Fatal(err)
 			}
-			fresh.scratch = e.scratch
-			e = fresh
-			b.StartTimer()
-		}
-		a := dirs[i%resetEvery]
-		lo, hi := e.Support(a)
-		e.Cut(a, (lo+hi)/2)
+			dirs := benchDirections(s, resetEvery)
+			lo, hi := e.Support(dirs[0])
+			e.Cut(dirs[0], (lo+hi)/2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%resetEvery == 0 {
+					b.StopTimer()
+					fresh, err := NewBall(s.n, 4)
+					if err != nil {
+						b.Fatal(err)
+					}
+					fresh.scratch, fresh.nz = e.scratch, e.nz
+					e = fresh
+					b.StartTimer()
+				}
+				a := dirs[i%resetEvery]
+				lo, hi := e.Support(a)
+				e.Cut(a, (lo+hi)/2)
+			}
+		})
 	}
 }

@@ -3,13 +3,17 @@
 // and its Löwner-John updates after central, deep, and shallow cuts.
 //
 // The pricing algorithms only ever touch the ellipsoid through three
-// operations, all O(n²):
+// operations:
 //
 //   - Support(x): the interval [min_{θ∈E} xᵀθ, max_{θ∈E} xᵀθ] bounding a
-//     query's market value (lines 5–7 of Algorithm 1);
+//     query's market value (lines 5–7 of Algorithm 1), O(n + k²) for an x
+//     with k nonzero entries;
 //   - Cut(a, β, α): replace E ∩ {θ : aᵀθ ≤ β} by its minimum-volume
-//     enclosing ellipsoid (lines 15–21);
+//     enclosing ellipsoid (lines 15–21), O(k·n + n²/2) for a k-hot a;
 //   - size probes (volume, widths) used by the regret analysis and tests.
+//
+// The shape matrix is stored by its upper triangle (linalg.Sym), which is
+// all the first two operations read or write.
 package ellipsoid
 
 import (
@@ -29,16 +33,20 @@ const minProbe = 1e-150
 var ErrDegenerate = errors.New("ellipsoid: degenerate shape matrix")
 
 // E is an n-dimensional ellipsoid {θ : (θ−c)ᵀ A⁻¹ (θ−c) ≤ 1} stored by its
-// shape matrix A (symmetric positive definite) and center c.
+// shape matrix A (symmetric positive definite) and center c. Support,
+// Width, Alpha and Cut write per-ellipsoid scratch, so an E is not safe
+// for concurrent use, not even by readers; each owner keeps its own.
 type E struct {
 	n int
-	a *linalg.Matrix
+	a *linalg.Sym
 	c linalg.Vector
 
-	// scratch holds the cut vector b = A·a/√(aᵀAa) between Cut calls so
-	// the per-round hot path performs no allocations. It is lazily sized
-	// and never shared: Clone leaves it nil in the copy.
+	// scratch holds the cut vector b = A·a/√(aᵀAa) during Cut, and nz the
+	// nonzero indices of the last quadratic form's vector, so the
+	// per-round hot path performs no allocations. Both are lazily sized
+	// and never shared: Clone leaves them nil in the copy.
 	scratch linalg.Vector
+	nz      []int
 }
 
 // NewBall returns the ball of the given radius centered at the origin —
@@ -55,7 +63,7 @@ func NewBall(n int, radius float64) (*E, error) {
 	}
 	return &E{
 		n: n,
-		a: linalg.ScaledIdentity(n, radius*radius),
+		a: linalg.NewSym(linalg.ScaledIdentity(n, radius*radius)),
 		c: linalg.NewVector(n),
 	}, nil
 }
@@ -68,9 +76,14 @@ func New(shape *linalg.Matrix, center linalg.Vector) (*E, error) {
 		return nil, fmt.Errorf("ellipsoid: shape %dx%d does not match center length %d",
 			shape.Rows(), shape.Cols(), n)
 	}
-	// The symmetry/PD checks incidentally reject non-finite shape
-	// entries, but nothing downstream ever inspects the center — a
-	// NaN c would survive restore and corrupt the first price.
+	// The symmetry and PD checks below let non-finite entries through:
+	// |NaN − x| > tol is false, an infinite entry makes tol infinite, and
+	// the Cholesky factorization reads only the diagonal and lower
+	// triangle. Nothing downstream inspects the center either, so a NaN
+	// c would survive restore and corrupt the first price.
+	if !shape.IsFinite() {
+		return nil, fmt.Errorf("ellipsoid: shape matrix must be finite")
+	}
 	if !center.IsFinite() {
 		return nil, fmt.Errorf("ellipsoid: center must be finite")
 	}
@@ -80,9 +93,7 @@ func New(shape *linalg.Matrix, center linalg.Vector) (*E, error) {
 	if !linalg.IsPositiveDefinite(shape) {
 		return nil, fmt.Errorf("ellipsoid: shape matrix is not positive definite")
 	}
-	e := &E{n: n, a: shape.Clone(), c: center.Clone()}
-	e.a.Symmetrize()
-	return e, nil
+	return &E{n: n, a: linalg.NewSym(shape.Clone().Symmetrize()), c: center.Clone()}, nil
 }
 
 // FromBox returns the ball enclosing the axis-aligned box Π[lo_i, hi_i]:
@@ -108,8 +119,8 @@ func (e *E) Dim() int { return e.n }
 // Center returns a copy of the center c.
 func (e *E) Center() linalg.Vector { return e.c.Clone() }
 
-// Shape returns a copy of the shape matrix A.
-func (e *E) Shape() *linalg.Matrix { return e.a.Clone() }
+// Shape returns a copy of the shape matrix A, both triangles filled.
+func (e *E) Shape() *linalg.Matrix { return e.a.Dense() }
 
 // Clone returns a deep copy of e.
 func (e *E) Clone() *E {
@@ -119,7 +130,7 @@ func (e *E) Clone() *E {
 // Contains reports whether θ lies in the ellipsoid, within slack tol on the
 // quadratic form (tol = 0 for exact membership).
 func (e *E) Contains(theta linalg.Vector, tol float64) bool {
-	inv, err := linalg.InverseSPD(e.a)
+	inv, err := linalg.InverseSPD(e.a.Dense())
 	if err != nil {
 		return false
 	}
@@ -132,13 +143,29 @@ func (e *E) Contains(theta linalg.Vector, tol float64) bool {
 // interval [p̲, p̄] of the pricing mechanism.
 func (e *E) Support(x linalg.Vector) (lo, hi float64) {
 	mid := e.c.Dot(x)
-	half := math.Sqrt(math.Max(0, e.a.QuadForm(x)))
+	half := math.Sqrt(math.Max(0, e.quadForm(x)))
 	return mid - half, mid + half
 }
 
 // Width returns the width of E along direction x: p̄ − p̲ = 2√(xᵀAx).
 func (e *E) Width(x linalg.Vector) float64 {
-	return 2 * math.Sqrt(math.Max(0, e.a.QuadForm(x)))
+	return 2 * math.Sqrt(math.Max(0, e.quadForm(x)))
+}
+
+// quadForm returns xᵀAx. It gathers x's nonzero indices into e.nz first,
+// so the cost is O(n + k²) for an x with k nonzero entries.
+func (e *E) quadForm(x linalg.Vector) float64 {
+	if e.nz == nil {
+		e.nz = make([]int, 0, e.n)
+	}
+	nz := e.nz[:0]
+	for i, xi := range x {
+		if xi != 0 {
+			nz = append(nz, i)
+		}
+	}
+	e.nz = nz
+	return e.a.QuadForm(x, nz)
 }
 
 // CutResult describes the outcome of a Cut call.
@@ -181,7 +208,7 @@ func (r CutResult) String() string {
 // hyperplane {θ : aᵀθ = β} in the ‖·‖_{A⁻¹} norm: α = 0 is a central cut
 // through the center, α > 0 a deep cut, α < 0 a shallow cut.
 func (e *E) Alpha(a linalg.Vector, beta float64) (float64, error) {
-	probe := math.Sqrt(math.Max(0, e.a.QuadForm(a)))
+	probe := math.Sqrt(math.Max(0, e.quadForm(a)))
 	if probe < minProbe {
 		return 0, ErrDegenerate
 	}
@@ -197,12 +224,10 @@ func (e *E) Alpha(a linalg.Vector, beta float64) (float64, error) {
 //	A' = n²(1−α²)/(n²−1) · (A − 2(1+nα)/((n+1)(1+α)) · b bᵀ)
 //
 // which for α = 0 reduces to the textbook central-cut ellipsoid update.
-// It is computed as c′ = c − τ·b and, in one row-major pass over A,
-// A′ᵢⱼ = σ·(Aᵢⱼ − ρ·(bᵢ·bⱼ)) with τ, σ, ρ the three coefficients above.
-// A is exactly symmetric on entry (NewBall builds a diagonal, New
-// symmetrizes, the 1-D update is 1×1) and bᵢ·bⱼ rounds exactly like bⱼ·bᵢ,
-// so A′ is exactly symmetric as well and no Symmetrize pass is needed;
-// IsWellFormed checks that with zero tolerance.
+// It is computed as c′ = c − τ·b and, in one row-major pass over the
+// upper triangle of A, A′ᵢⱼ = σ·(Aᵢⱼ − ρ·(bᵢ·bⱼ)) for j ≥ i, with τ, σ, ρ
+// the three coefficients above. Each entry gets the value the same pass
+// over all n² entries would give it, since bᵢ·bⱼ rounds exactly like bⱼ·bᵢ.
 // n = 1 is handled exactly (the remaining segment's enclosing "ellipsoid"
 // is the segment itself).
 func (e *E) Cut(a linalg.Vector, beta float64) CutResult {
@@ -212,9 +237,9 @@ func (e *E) Cut(a linalg.Vector, beta float64) CutResult {
 	if e.scratch == nil {
 		e.scratch = linalg.NewVector(e.n)
 	}
-	// b = A a, formed through the transpose product (A is symmetric) so
-	// zero entries of a skip whole rows; aᵀAa = a·b then costs only O(n).
-	b := e.a.MulVecTTo(e.scratch, a)
+	// b = A a, where zero entries of a skip their row and column of A;
+	// aᵀAa = a·b then costs only O(n).
+	b := e.a.MulVecTo(e.scratch, a)
 	probeSq := a.Dot(b)
 	probe := math.Sqrt(math.Max(0, probeSq))
 	if probe < minProbe {
@@ -240,7 +265,7 @@ func (e *E) Cut(a linalg.Vector, beta float64) CutResult {
 	rho := 2 * (1 + n*alpha) / ((n + 1) * (1 + alpha))
 
 	e.c.AddScaled(-tau, b)
-	e.a.SymRankOneScale(-rho, b, sigma)
+	e.a.RankOneScale(-rho, b, sigma)
 	return CutApplied
 }
 
@@ -285,7 +310,7 @@ func (e *E) Volume() (float64, error) {
 
 // LogVolume returns log(Vₙ) + ½·log det(A).
 func (e *E) LogVolume() (float64, error) {
-	f, err := linalg.Cholesky(e.a)
+	f, err := linalg.Cholesky(e.a.Dense())
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrDegenerate, err)
 	}
@@ -304,7 +329,7 @@ func UnitBallVolume(n int) float64 { return math.Exp(logUnitBallVolume(n)) }
 // Axes returns the semi-axis lengths √γᵢ(A) in descending order along with
 // the corresponding axis directions (columns of the returned matrix).
 func (e *E) Axes() (lengths linalg.Vector, directions *linalg.Matrix, err error) {
-	vals, vecs, err := linalg.EigenSym(e.a)
+	vals, vecs, err := linalg.EigenSym(e.a.Dense())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -320,7 +345,7 @@ func (e *E) Axes() (lengths linalg.Vector, directions *linalg.Matrix, err error)
 
 // MinAxis returns the semi-length of the narrowest axis, √γₙ(A).
 func (e *E) MinAxis() (float64, error) {
-	lo, err := linalg.SmallestEigenvalueSym(e.a)
+	lo, err := linalg.SmallestEigenvalueSym(e.a.Dense())
 	if err != nil {
 		return 0, err
 	}
@@ -330,7 +355,7 @@ func (e *E) MinAxis() (float64, error) {
 // Sample returns a point uniformly distributed in E, via the affine image
 // x = c + L·u of a uniform unit-ball point u, where A = L·Lᵀ.
 func (e *E) Sample(r *randx.RNG) (linalg.Vector, error) {
-	f, err := linalg.Cholesky(e.a)
+	f, err := linalg.Cholesky(e.a.Dense())
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrDegenerate, err)
 	}
@@ -342,9 +367,10 @@ func (e *E) Sample(r *randx.RNG) (linalg.Vector, error) {
 	return x, nil
 }
 
-// IsWellFormed verifies the structural invariants: finite entries, exact
-// symmetry, and positive definiteness of the shape matrix.
+// IsWellFormed verifies the structural invariants: finite entries and
+// positive definiteness of the shape matrix. Symmetry holds by
+// construction, since only the upper triangle is stored.
 func (e *E) IsWellFormed() bool {
-	return e.a.IsFinite() && e.c.IsFinite() && e.a.IsSymmetric(0) &&
-		linalg.IsPositiveDefinite(e.a)
+	a := e.a.Dense()
+	return a.IsFinite() && e.c.IsFinite() && linalg.IsPositiveDefinite(a)
 }

@@ -2,6 +2,7 @@ package ellipsoid
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"datamarket/internal/linalg"
@@ -58,6 +59,17 @@ func TestNewValidation(t *testing.T) {
 	indef := linalg.MatrixFromRows([][]float64{{1, 2}, {2, 1}})
 	if _, err := New(indef, linalg.VectorOf(0, 0)); err == nil {
 		t.Fatal("expected non-PD error")
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, rows := range map[string][][]float64{
+		"NaN above the diagonal": {{1, nan}, {0, 1}},
+		"NaN below the diagonal": {{1, 0}, {nan, 1}},
+		"+Inf on the diagonal":   {{inf, 0}, {0, 1}},
+		"-Inf on the diagonal":   {{1, 0}, {0, -inf}},
+	} {
+		if _, err := New(linalg.MatrixFromRows(rows), linalg.VectorOf(0, 0)); err == nil {
+			t.Errorf("%s: expected non-finite shape error", name)
+		}
 	}
 }
 
@@ -344,6 +356,37 @@ func TestContains(t *testing.T) {
 	}
 	if !e.Contains(linalg.VectorOf(1, 0), 1e-9) {
 		t.Fatal("boundary point reported outside")
+	}
+}
+
+// TestCloneSharesNoScratch prices on an ellipsoid and on its clone from
+// two goroutines at once. Under -race, a scratch buffer the two shared
+// would be reported; without it, a shared buffer could mix their cuts.
+func TestCloneSharesNoScratch(t *testing.T) {
+	const n = 16
+	e, _ := NewBall(n, 2)
+	r := randx.New(3)
+	dirs := make([]linalg.Vector, 50)
+	for i := range dirs {
+		dirs[i] = r.OnSphere(n)
+	}
+	lo, hi := e.Support(dirs[0]) // warm the original's scratch
+	e.Cut(dirs[0], (lo+hi)/2)
+	c := e.Clone()
+	var wg sync.WaitGroup
+	for _, el := range []*E{e, c} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, x := range dirs {
+				lo, hi := el.Support(x)
+				el.Cut(x, (lo+hi)/2)
+			}
+		}()
+	}
+	wg.Wait()
+	if !e.Shape().Equal(c.Shape(), 0) || !e.c.Equal(c.c, 0) {
+		t.Fatal("the same cuts left the ellipsoid and its clone apart")
 	}
 }
 

@@ -96,14 +96,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// CopyFrom overwrites m with src, which must have identical shape.
-func (m *Matrix) CopyFrom(src *Matrix) {
-	if m.rows != src.rows || m.cols != src.cols {
-		panic("linalg: CopyFrom shape mismatch")
-	}
-	copy(m.data, src.data)
-}
-
 // T returns the transpose as a new matrix.
 func (m *Matrix) T() *Matrix {
 	t := NewMatrix(m.cols, m.rows)
@@ -150,33 +142,6 @@ func (m *Matrix) MulVecT(v Vector) Vector {
 		}
 	}
 	return out
-}
-
-// MulVecTTo computes mᵀ·v into dst (which must have length m.Cols()) and
-// returns dst, without forming the transpose or allocating. Zero entries
-// of v skip whole rows, so the cost is O(k·n) for a k-sparse v — for a
-// symmetric m this is the fastest way to form m·v from a sparse probe.
-func (m *Matrix) MulVecTTo(dst, v Vector) Vector {
-	if m.rows != len(v) {
-		panic(fmt.Sprintf("linalg: MulVecTTo shape mismatch %dx%d by %d", m.rows, m.cols, len(v)))
-	}
-	if len(dst) != m.cols {
-		panic(fmt.Sprintf("linalg: MulVecTTo dst length %d, want %d", len(dst), m.cols))
-	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i := 0; i < m.rows; i++ {
-		vi := v[i]
-		if vi == 0 {
-			continue
-		}
-		row := m.Row(i)
-		for j, x := range row {
-			dst[j] += x * vi
-		}
-	}
-	return dst
 }
 
 // Mul returns m·b.
@@ -238,23 +203,6 @@ func (m *Matrix) AddRankOne(a float64, v, w Vector) *Matrix {
 	return m
 }
 
-// SymRankOneScale overwrites the square m with s·(m + a·b bᵀ) in one
-// row-major pass, without allocating. Each entry is formed as
-// s·(mᵢⱼ + a·(bᵢ·bⱼ)), and bᵢ·bⱼ rounds exactly like bⱼ·bᵢ, so an exactly
-// symmetric m stays exactly symmetric: no Symmetrize pass is needed.
-func (m *Matrix) SymRankOneScale(a float64, b Vector, s float64) *Matrix {
-	if m.rows != m.cols || m.rows != len(b) {
-		panic("linalg: SymRankOneScale shape mismatch")
-	}
-	for i, bi := range b {
-		row := m.Row(i)[:len(b)] // lets the compiler drop row[j]'s bounds check
-		for j, bj := range b {
-			row[j] = s * (row[j] + a*(bi*bj))
-		}
-	}
-	return m
-}
-
 // Symmetrize overwrites m with (m + mᵀ)/2. m must be square. It returns m.
 func (m *Matrix) Symmetrize() *Matrix {
 	if m.rows != m.cols {
@@ -308,8 +256,8 @@ func (m *Matrix) Trace() float64 {
 }
 
 // QuadForm returns xᵀ m x for a square m. Zero entries of x are skipped,
-// so the cost is O(k²) for a k-sparse x — the hot path of the hashed
-// one-hot pricing experiments (§V-C), where k ≈ 13 and n = 1024.
+// but each of the k nonzero rows still scans all n columns, so the cost
+// is O(k·n) for a k-sparse x; Sym.QuadForm is the O(k²) form.
 func (m *Matrix) QuadForm(x Vector) float64 {
 	if m.rows != m.cols || m.rows != len(x) {
 		panic("linalg: QuadForm shape mismatch")

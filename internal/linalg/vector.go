@@ -1,7 +1,8 @@
 // Package linalg provides the dense linear algebra kernels used throughout
-// the pricing library: vectors, row-major matrices, Householder QR least
-// squares, Jacobi eigendecomposition of symmetric matrices, and Cholesky
-// factorization. It is deliberately small, allocation-conscious, and
+// the pricing library: vectors, row-major matrices, symmetric matrices
+// kept by their upper triangle, Householder QR least squares, Jacobi
+// eigendecomposition of symmetric matrices, and Cholesky factorization.
+// It is deliberately small, allocation-conscious, and
 // stdlib-only; the ellipsoid pricing mechanism needs nothing more than
 // matrix-vector products, rank-one updates, and occasional factorizations.
 package linalg
