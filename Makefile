@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint fmt bench-smoke bench-durability bench-serve bench-market bench-loadgen loadgen-smoke perfbench-test ci
+.PHONY: build test race vet lint fmt bench-smoke bench-durability bench-serve bench-market bench-loadgen loadgen-smoke perfbench-test ci
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,9 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+vet:
+	$(GO) vet ./...
 
 # lint runs the repo's own analyzer suite (errcode, floatguard,
 # lockdiscipline, wirecontract, snapshotfields) over every package.
@@ -77,4 +80,4 @@ loadgen-smoke:
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-ci: fmt build test lint perfbench-test
+ci: fmt build vet test lint perfbench-test

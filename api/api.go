@@ -205,9 +205,9 @@ type RegretStats struct {
 }
 
 // StatsResponse surfaces a stream's mechanism counters and regret
-// bookkeeping. HasCounters reports whether the poster keeps counters at
-// all; when false the Counters block is meaningless zeros rather than a
-// genuinely idle stream. (GET /v1/streams/{id}/stats)
+// bookkeeping. HasCounters is always true: every hosted family keeps
+// counters. It stays on the wire until the next API version.
+// (GET /v1/streams/{id}/stats)
 type StatsResponse struct {
 	ID          string      `json:"id"`
 	Family      string      `json:"family"`

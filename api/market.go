@@ -190,8 +190,9 @@ type MarketStatsResponse struct {
 	Profit       float64 `json:"profit"`
 	// Regret is the broker's regret bookkeeping over all trades.
 	Regret RegretStats `json:"regret"`
-	// Counters is the pricing mechanism's own bookkeeping; HasCounters
-	// reports whether the family keeps counters at all.
+	// Counters is the pricing mechanism's own bookkeeping. HasCounters
+	// is always true (every hosted family keeps counters); it stays on
+	// the wire until the next API version.
 	Counters    Counters `json:"counters"`
 	HasCounters bool     `json:"has_counters"`
 }

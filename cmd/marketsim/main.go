@@ -64,7 +64,7 @@ func run(ownerCount, n, rounds int, seed uint64, verbose bool) error {
 		return err
 	}
 	broker, err := market.NewBroker(market.Config{
-		Owners: owners, Mechanism: mech, FeatureDim: n, Seed: seed, KeepRecords: false,
+		Owners: owners, Mechanism: pricing.NewSync(mech), FeatureDim: n, Seed: seed, KeepRecords: false,
 	})
 	if err != nil {
 		return err

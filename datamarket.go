@@ -107,10 +107,6 @@ type SGDPoster = pricing.SGDPoster
 // Poster is the interface satisfied by every pricing strategy.
 type Poster = pricing.Poster
 
-// RoundPoster is a Poster that can run one full post-respond-observe
-// round atomically (SyncPoster implements it).
-type RoundPoster = pricing.RoundPoster
-
 // BatchRound is one round's input to batched pricing (features +
 // reserve).
 type BatchRound = pricing.BatchRound
@@ -118,12 +114,9 @@ type BatchRound = pricing.BatchRound
 // BatchOutcome is one round's result from batched pricing.
 type BatchOutcome = pricing.BatchOutcome
 
-// BatchRoundPoster is a RoundPoster that can price k rounds under one
-// synchronization point (SyncPoster implements it).
-type BatchRoundPoster = pricing.BatchRoundPoster
-
-// SyncPoster makes any Poster safe for concurrent round-at-a-time use;
-// brokerd hosts one per stream.
+// SyncPoster makes a FamilyPoster safe for concurrent round-at-a-time
+// use, one round (PriceRound) or one batch (PriceBatch) at a time;
+// brokerd hosts one per stream, and a Broker prices through one.
 type SyncPoster = pricing.SyncPoster
 
 // MechanismSnapshot is the durable state of a Mechanism, for crash
@@ -210,8 +203,9 @@ func NewBroker(cfg BrokerConfig) (*Broker, error) { return market.NewBroker(cfg)
 // NewTracker builds a regret tracker; keepRecords retains per-round rows.
 func NewTracker(keepRecords bool) *Tracker { return pricing.NewTracker(keepRecords) }
 
-// NewSyncPoster wraps a Poster for concurrent use.
-func NewSyncPoster(inner Poster) *SyncPoster { return pricing.NewSync(inner) }
+// NewSyncPoster wraps a FamilyPoster (a Mechanism, NonlinearMechanism
+// or SGDPoster) for concurrent use.
+func NewSyncPoster(inner FamilyPoster) *SyncPoster { return pricing.NewSync(inner) }
 
 // RestoreMechanism rebuilds a Mechanism from a snapshot.
 func RestoreMechanism(s *MechanismSnapshot) (*Mechanism, error) { return pricing.Restore(s) }

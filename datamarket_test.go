@@ -71,7 +71,7 @@ func TestFacadeBrokerLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	broker, err := datamarket.NewBroker(datamarket.BrokerConfig{
-		Owners: owners, Mechanism: mech, FeatureDim: 4, Seed: 3,
+		Owners: owners, Mechanism: datamarket.NewSyncPoster(mech), FeatureDim: 4, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -55,7 +55,7 @@ func main() {
 		panic(err)
 	}
 	broker, err := datamarket.NewBroker(datamarket.BrokerConfig{
-		Owners: owners, Mechanism: mech, FeatureDim: n, Seed: seed,
+		Owners: owners, Mechanism: datamarket.NewSyncPoster(mech), FeatureDim: n, Seed: seed,
 	})
 	if err != nil {
 		panic(err)

@@ -80,6 +80,9 @@ func (m *Matrix) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
 // Row returns a mutable view of row i (no copy).
 func (m *Matrix) Row(i int) []float64 { return m.data[i*m.cols : (i+1)*m.cols] }
 
+// Data returns a mutable view of the row-major storage (no copy).
+func (m *Matrix) Data() []float64 { return m.data }
+
 // Col returns a copy of column j.
 func (m *Matrix) Col(j int) Vector {
 	v := make(Vector, m.rows)

@@ -8,6 +8,7 @@ package market
 // (the equivalence suite still covers the same code paths there).
 
 import (
+	"sort"
 	"testing"
 
 	"datamarket/internal/linalg"
@@ -22,8 +23,7 @@ func TestPrepareIntoZeroAllocs(t *testing.T) {
 	const owners = 1000
 	pop := testOwners(t, owners, 51)
 	b, err := NewBroker(Config{
-		Owners: pop, Mechanism: testMechanism(t, 8, 100), FeatureDim: 8,
-		QuoteCacheSize: -1,
+		Owners: pop, Mechanism: pricing.NewSync(testMechanism(t, 8, 100)), FeatureDim: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestSettleBatchZeroAllocs(t *testing.T) {
 	pop := testOwners(t, owners, 61)
 	b, err := NewBroker(Config{
 		Owners: pop, Mechanism: pricing.NewSync(testMechanism(t, 6, 100000)),
-		FeatureDim: 6, QuoteCacheSize: -1,
+		FeatureDim:     6,
 		LedgerPrealloc: (runs + 2) * batch,
 	})
 	if err != nil {
@@ -107,5 +107,52 @@ func TestSettleBatchZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("settleBatch allocates %v times per run in steady state, want 0", allocs)
+	}
+}
+
+// TestTradeBatchPerTradeZeroAllocs pins that a batch's allocations do
+// not depend on whether its queries were seen before: 64-trade batches
+// cycle through 1,024 distinct 40-hot queries over 4,000 owners, and
+// every query prepares into a pooled context. What remains is the
+// batch's own bookkeeping (the outcome, context, round and index slices
+// and the prepare workers): a fixed handful per batch, none per trade.
+func TestTradeBatchPerTradeZeroAllocs(t *testing.T) {
+	const (
+		owners   = 4000
+		distinct = 1024
+		hot      = 40
+		batch    = 64
+		runs     = 100
+	)
+	pop := testOwners(t, owners, 71)
+	b, err := NewBroker(Config{
+		Owners: pop, Mechanism: pricing.NewSync(testMechanism(t, 8, 1<<20)),
+		FeatureDim: 8, LedgerPrealloc: (runs + 2) * batch,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := randx.New(72)
+	pool := make([]Query, distinct)
+	for i := range pool {
+		idx := r.Perm(owners)[:hot]
+		sort.Ints(idx)
+		q, err := privacy.NewSparseLinearQuery(owners, idx, r.NormalVector(hot, 1), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool[i] = Query{Q: q, Valuation: r.Uniform(0, 10)}
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		for _, o := range b.TradeBatchOutcomes(pool[next : next+batch]) {
+			if o.Err != nil {
+				t.Fatal(o.Err)
+			}
+		}
+		next = (next + batch) % distinct
+	})
+	if allocs >= batch {
+		t.Fatalf("TradeBatchOutcomes allocates %v times per %d-trade batch, want fewer than one per trade", allocs, batch)
 	}
 }

@@ -19,7 +19,7 @@ const (
 	benchDim     = 10
 )
 
-func benchBroker(b *testing.B, cacheSize int) *Broker {
+func benchBroker(b *testing.B) *Broker {
 	b.Helper()
 	r := randx.New(71)
 	contract, err := privacy.NewTanhContract(1, 2)
@@ -38,7 +38,7 @@ func benchBroker(b *testing.B, cacheSize int) *Broker {
 	}
 	br, err := NewBroker(Config{
 		Owners: pop, Mechanism: pricing.NewSync(mech), FeatureDim: benchDim,
-		Seed: 7, QuoteCacheSize: cacheSize, LedgerPrealloc: 1 << 20,
+		Seed: 7, LedgerPrealloc: 1 << 20,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -63,7 +63,7 @@ func benchQuery(b *testing.B, r *randx.RNG) *privacy.LinearQuery {
 // replaced: dense leakages and compensations over all 10k owners, plus a
 // clone-and-sort aggregation, per call.
 func BenchmarkPrepareDenseReference(b *testing.B) {
-	br := benchBroker(b, -1)
+	br := benchBroker(b)
 	q := benchQuery(b, randx.New(72))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -85,7 +85,7 @@ func BenchmarkPrepareDenseReference(b *testing.B) {
 // BenchmarkPrepareInto is the sparse zero-alloc fast path over the same
 // market and query shape.
 func BenchmarkPrepareInto(b *testing.B) {
-	br := benchBroker(b, -1)
+	br := benchBroker(b)
 	q := benchQuery(b, randx.New(72))
 	ctx := new(QuoteContext)
 	if err := br.PrepareInto(ctx, q); err != nil {
@@ -103,7 +103,7 @@ func BenchmarkPrepareInto(b *testing.B) {
 // BenchmarkTradeSequential trades one query at a time — the pre-batch
 // serving pattern: two lock handoffs per round.
 func BenchmarkTradeSequential(b *testing.B) {
-	br := benchBroker(b, -1)
+	br := benchBroker(b)
 	r := randx.New(73)
 	queries := make([]Query, 256)
 	for i := range queries {
@@ -122,7 +122,7 @@ func BenchmarkTradeSequential(b *testing.B) {
 // pricing lock, one books lock.
 func BenchmarkTradeBatch(b *testing.B) {
 	const batch = 64
-	br := benchBroker(b, -1)
+	br := benchBroker(b)
 	r := randx.New(74)
 	queries := make([]Query, batch)
 	for i := range queries {
@@ -135,24 +135,6 @@ func BenchmarkTradeBatch(b *testing.B) {
 			if o.Err != nil {
 				b.Fatal(o.Err)
 			}
-		}
-	}
-}
-
-// BenchmarkTradeCached trades a repeated query through the quote cache:
-// the steady state for consumers resubmitting the same query shape.
-func BenchmarkTradeCached(b *testing.B) {
-	br := benchBroker(b, DefaultQuoteCacheSize)
-	r := randx.New(75)
-	query := Query{Q: benchQuery(b, r), Valuation: 10}
-	if _, err := br.Trade(query); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := br.Trade(query); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 package market
 
-// Equivalence suite for the sparse/pooled/cached fast path: every result
+// Equivalence suite for the sparse/pooled fast path: every result
 // the optimized pipeline produces must be bit-identical to the dense seed
 // pipeline (privacy.Leakages → privacy.Compensations →
 // feature.CompensationFeatures), not merely close.
@@ -75,7 +75,7 @@ func TestPrepareMatchesDenseSeedPipeline(t *testing.T) {
 			pop[i].Range = 0 // zero-sensitivity owners leak nothing
 		}
 	}
-	b, err := NewBroker(Config{Owners: pop, Mechanism: testMechanism(t, 6, 100), FeatureDim: 6})
+	b, err := NewBroker(Config{Owners: pop, Mechanism: pricing.NewSync(testMechanism(t, 6, 100)), FeatureDim: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,95 +109,6 @@ func TestPrepareMatchesDenseSeedPipeline(t *testing.T) {
 					trial, i, sl, sc, leak[i], comps[i])
 			}
 		}
-	}
-}
-
-// TestQuoteCacheEquivalence checks that a cache hit serves the very same
-// context a fresh prepare would, that trades through a cached broker and
-// a cache-disabled twin produce identical ledgers, and that the LRU
-// honors its capacity.
-func TestQuoteCacheEquivalence(t *testing.T) {
-	const (
-		owners = 60
-		T      = 200
-	)
-	pop := testOwners(t, owners, 21)
-	mkBroker := func(cacheSize int) *Broker {
-		b, err := NewBroker(Config{
-			Owners: pop, Mechanism: pricing.NewSync(testMechanism(t, 4, T)),
-			FeatureDim: 4, Seed: 9, KeepRecords: true, QuoteCacheSize: cacheSize,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	cached := mkBroker(16)
-	uncached := mkBroker(-1)
-	if uncached.cache != nil {
-		t.Fatal("negative QuoteCacheSize must disable the cache")
-	}
-
-	// A repeated query must come back as the same shared context.
-	r := randx.New(22)
-	q := sparseTestQuery(t, r, owners)
-	c1, pooled1, err := cached.quoteFor(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, pooled2, err := cached.quoteFor(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pooled1 || pooled2 {
-		t.Fatal("cacheable contexts must not come from the pool")
-	}
-	if c1 != c2 {
-		t.Fatal("second quoteFor for an identical query missed the cache")
-	}
-
-	// Same query stream (with heavy repetition, so the cache actually
-	// serves hits) through both brokers: ledgers must match exactly.
-	distinct := make([]*privacy.LinearQuery, 8)
-	for i := range distinct {
-		distinct[i] = sparseTestQuery(t, r, owners)
-	}
-	for round := 0; round < T; round++ {
-		query := Query{Q: distinct[r.Intn(len(distinct))], Valuation: r.Uniform(0, 8)}
-		tx1, err1 := cached.Trade(query)
-		tx2, err2 := uncached.Trade(query)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("round %d: cached err %v, uncached err %v", round, err1, err2)
-		}
-		if tx1 != tx2 {
-			t.Fatalf("round %d: cached tx %+v != uncached tx %+v", round, tx1, tx2)
-		}
-	}
-	l1, l2 := cached.Ledger(), uncached.Ledger()
-	if len(l1) != len(l2) {
-		t.Fatalf("ledger lengths %d != %d", len(l1), len(l2))
-	}
-	for i := range l1 {
-		if l1[i] != l2[i] {
-			t.Fatalf("ledger[%d]: %+v != %+v", i, l1[i], l2[i])
-		}
-	}
-	p1, p2 := cached.Payouts(), uncached.Payouts()
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatalf("payout[%d]: %v != %v", i, p1[i], p2[i])
-		}
-	}
-
-	// LRU bound: flooding with distinct queries never exceeds capacity.
-	for i := 0; i < 100; i++ {
-		qq := sparseTestQuery(t, r, owners)
-		if _, _, err := cached.quoteFor(qq); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := cached.cache.len(); n > 16 {
-		t.Fatalf("cache holds %d entries, cap 16", n)
 	}
 }
 

@@ -63,26 +63,23 @@ type Transaction struct {
 // Broker runs the data market: it owns the dataset, the compensation
 // machinery, the feature pipeline, and the pricing mechanism.
 //
-// Trade is safe for concurrent use when the configured mechanism is
-// itself concurrency-safe (e.g. a pricing.SyncPoster): the pricing round
-// runs atomically through pricing.RoundPoster when available, and the
-// broker's own ledger and payout state are guarded by an internal mutex.
-// Under concurrency, ledger order may differ from pricing-round order.
+// Trade and TradeBatchOutcomes are safe for concurrent use: every pricing
+// round runs atomically on the pricing.SyncPoster, and the broker's own
+// ledger and payout state are guarded by an internal mutex. Under
+// concurrency, ledger order may differ from pricing-round order.
 type Broker struct {
 	owners    []Owner
 	values    linalg.Vector
 	ranges    linalg.Vector
 	contracts []privacy.Contract
 
-	mech       pricing.Poster
+	mech       *pricing.SyncPoster
 	featureDim int
 
-	// ctxPool recycles QuoteContext scratch between trades; cache
-	// holds finished contexts keyed by query fingerprint. Both serve
-	// Prepare, which reads only the immutable config above, so they
-	// need no coordination with the books mutex below.
+	// ctxPool recycles QuoteContext scratch between trades. Prepare
+	// reads only the immutable config above, so the pool needs no
+	// coordination with the books mutex below.
 	ctxPool sync.Pool
-	cache   *quoteCache
 
 	mu      sync.Mutex // guards rng, ledger, tracker, ownerPayout, totals
 	rng     *randx.RNG
@@ -103,9 +100,10 @@ type Config struct {
 	// Owners is the data owner population; must be non-empty, with
 	// non-negative ranges and non-nil contracts.
 	Owners []Owner
-	// Mechanism is the posted-price strategy; typically a pricing.Mechanism
+	// Mechanism is the posted-price strategy: a pricing.SyncPoster over
+	// any hosted family, typically pricing.NewSync of a pricing.Mechanism
 	// built with WithReserve().
-	Mechanism pricing.Poster
+	Mechanism *pricing.SyncPoster
 	// FeatureDim is the dimension n of the aggregated compensation
 	// feature vector (1 ≤ FeatureDim ≤ len(Owners)).
 	FeatureDim int
@@ -113,22 +111,12 @@ type Config struct {
 	Seed uint64
 	// KeepRecords retains the full ledger (needed for curves).
 	KeepRecords bool
-	// QuoteCacheSize bounds the fingerprint-keyed LRU of prepared
-	// QuoteContexts: repeated queries (same weights and variance — the
-	// common consumer pattern) skip the prepare pipeline entirely.
-	// 0 means DefaultQuoteCacheSize; negative disables the cache.
-	// Cached results are bit-identical to freshly prepared ones.
-	QuoteCacheSize int
 	// LedgerPrealloc pre-sizes the ledger's backing array, so settles
 	// below that many rounds append without growing — the last
 	// allocation on the steady-state settle path. 0 keeps the default
 	// growth behavior.
 	LedgerPrealloc int
 }
-
-// DefaultQuoteCacheSize is the quote-cache capacity when Config leaves
-// QuoteCacheSize zero.
-const DefaultQuoteCacheSize = 256
 
 // NewBroker validates the configuration and builds the broker.
 func NewBroker(cfg Config) (*Broker, error) {
@@ -170,13 +158,6 @@ func NewBroker(cfg Config) (*Broker, error) {
 		b.ledger = make([]Transaction, 0, cfg.LedgerPrealloc)
 	}
 	b.ctxPool.New = func() any { return new(QuoteContext) }
-	cacheSize := cfg.QuoteCacheSize
-	if cacheSize == 0 {
-		cacheSize = DefaultQuoteCacheSize
-	}
-	if cacheSize > 0 {
-		b.cache = newQuoteCache(cacheSize)
-	}
 	return b, nil
 }
 
@@ -264,98 +245,48 @@ func (b *Broker) PrepareInto(dst *QuoteContext, q *privacy.LinearQuery) error {
 	return nil
 }
 
-// quoteFor produces the QuoteContext for a query: from the LRU cache
-// when an identical query (same weights and variance) was prepared
-// before, from pooled scratch otherwise. pooled reports whether the
-// caller must return ctx to b.ctxPool once the trade settles; cached
-// contexts are shared, immutable, and never released.
-func (b *Broker) quoteFor(q *privacy.LinearQuery) (ctx *QuoteContext, pooled bool, err error) {
-	if b.cache != nil && len(q.Support()) <= maxCachedSupport {
-		ctx, key, ok := b.cache.lookup(q)
-		if ok {
-			return ctx, false, nil
-		}
-		// Miss: prepare into a fresh context the cache can own. The
-		// pool is bypassed on purpose — a pooled context would be
-		// recycled while cached readers still hold it.
-		ctx = new(QuoteContext)
-		if err := b.PrepareInto(ctx, q); err != nil {
-			return nil, false, err
-		}
-		b.cache.insert(key, q, ctx)
-		return ctx, false, nil
+// quoteFor prepares q into a pooled QuoteContext. The caller returns it
+// to b.ctxPool once the trade settles.
+func (b *Broker) quoteFor(q *privacy.LinearQuery) (*QuoteContext, error) {
+	ctx := b.ctxPool.Get().(*QuoteContext)
+	if err := b.PrepareInto(ctx, q); err != nil {
+		b.ctxPool.Put(ctx)
+		return nil, err
 	}
-	c := b.ctxPool.Get().(*QuoteContext)
-	if err := b.PrepareInto(c, q); err != nil {
-		b.ctxPool.Put(c)
-		return nil, false, err
-	}
-	return c, true, nil
+	return ctx, nil
 }
 
 // Trade executes one full round: prepare, post a price, observe the
 // consumer's decision, settle payments, and append to the ledger. The
-// consumer accepts iff the posted price is at most her valuation.
-//
-// When the mechanism implements pricing.RoundPoster (SyncPoster does),
-// the post-observe pair runs atomically so concurrent trades cannot
-// interleave inside a round; otherwise the split calls are used and the
-// caller must serialize trades herself.
+// consumer accepts iff the posted price is at most her valuation. The
+// post-observe pair runs atomically (SyncPoster.PriceRound), so
+// concurrent trades cannot interleave inside a round.
 func (b *Broker) Trade(query Query) (Transaction, error) {
-	ctx, pooled, err := b.quoteFor(query.Q)
+	ctx, err := b.quoteFor(query.Q)
 	if err != nil {
 		return Transaction{}, err
 	}
-	tx, err := b.tradePrepared(query, ctx)
-	if pooled {
-		b.ctxPool.Put(ctx)
-	}
-	return tx, err
-}
-
-// tradePrepared prices and settles one already-prepared query.
-func (b *Broker) tradePrepared(query Query, ctx *QuoteContext) (Transaction, error) {
-	var (
-		quote pricing.Quote
-		sold  bool
-		err   error
-	)
-	if rp, ok := b.mech.(pricing.RoundPoster); ok {
-		quote, sold, err = rp.PriceRound(ctx.Features, ctx.Reserve, func(q pricing.Quote) bool {
-			return pricing.Sold(q.Price, query.Valuation)
-		})
-		if err != nil {
-			return Transaction{}, fmt.Errorf("market: pricing round: %w", err)
-		}
-	} else {
-		quote, err = b.mech.PostPrice(ctx.Features, ctx.Reserve)
-		if err != nil {
-			return Transaction{}, fmt.Errorf("market: posting price: %w", err)
-		}
-		if quote.Decision != pricing.DecisionSkip {
-			sold = pricing.Sold(quote.Price, query.Valuation)
-			if err := b.mech.Observe(sold); err != nil {
-				return Transaction{}, fmt.Errorf("market: observing feedback: %w", err)
-			}
-		}
+	defer b.ctxPool.Put(ctx)
+	quote, sold, err := b.mech.PriceRound(ctx.Features, ctx.Reserve, func(q pricing.Quote) bool {
+		return pricing.Sold(q.Price, query.Valuation)
+	})
+	if err != nil {
+		return Transaction{}, fmt.Errorf("market: pricing round: %w", err)
 	}
 	return b.settle(query, ctx, quote, sold)
 }
 
 // TradeBatch executes len(queries) full rounds. Each query runs the
-// Prepare pipeline exactly once; when the mechanism supports batch
-// pricing (pricing.BatchRoundPoster — SyncPoster does), all rounds then
-// price under ONE lock acquisition before settling, amortizing the
+// Prepare pipeline exactly once; all rounds then price under ONE lock
+// acquisition (SyncPoster.PriceBatch) before settling, amortizing the
 // per-round synchronization that dominates Trade under concurrency.
-// Otherwise the queries fall back to sequential Trade calls.
 //
-// Every query is attempted regardless of earlier failures, on both the
-// batch and the fallback path: a query that fails (prepare, pricing, or
-// settlement) leaves no ledger entry, the rest trade normally, and the
-// returned error joins the per-query failures. Settling the survivors
-// is not optional — the mechanism has already consumed their feedback,
-// so skipping them would leave the books permanently behind the
-// mechanism state.
+// Every query is attempted regardless of earlier failures: a query that
+// fails (prepare, pricing, or settlement) leaves no ledger entry, the
+// rest trade normally, and the returned error joins the per-query
+// failures. Settling the survivors is not optional — the mechanism has
+// already consumed their feedback, so skipping them would leave the
+// books permanently behind the mechanism state.
 func (b *Broker) TradeBatch(queries []Query) ([]Transaction, error) {
 	out := b.TradeBatchOutcomes(queries)
 	txs := make([]Transaction, 0, len(out))
@@ -382,25 +313,16 @@ type TradeOutcome struct {
 // index-for-index — the form serving layers need to answer each request
 // slot of a wire batch. TradeBatch is this with the failures joined.
 //
-// On a batch-capable mechanism the batch runs in three phases: queries
-// prepare in parallel across a bounded worker pool (Prepare reads only
-// immutable broker config), all prepared rounds price under one pricing
-// lock acquisition (PriceBatch), and all priced rounds settle under one
-// books lock acquisition (settleBatch) — two lock handoffs per batch
-// instead of two per trade.
+// The batch runs in three phases: queries prepare into pooled contexts
+// in parallel across a bounded worker pool (Prepare reads only immutable
+// broker config), all prepared rounds price under one pricing lock
+// acquisition (PriceBatch), and all priced rounds settle under one books
+// lock acquisition (settleBatch) — two lock handoffs per batch instead
+// of two per trade.
 func (b *Broker) TradeBatchOutcomes(queries []Query) []TradeOutcome {
 	out := make([]TradeOutcome, len(queries))
-	bp, ok := b.mech.(pricing.BatchRoundPoster)
-	if !ok {
-		for i, q := range queries {
-			out[i].Tx, out[i].Err = b.Trade(q)
-		}
-		return out
-	}
-
 	ctxs := make([]*QuoteContext, len(queries))
-	pooled := make([]bool, len(queries))
-	b.prepareAll(queries, ctxs, pooled, out)
+	b.prepareAll(queries, ctxs, out)
 	rounds := make([]pricing.BatchRound, 0, len(queries))
 	idx := make([]int, 0, len(queries)) // query index of each prepared round
 	for i, ctx := range ctxs {
@@ -410,12 +332,12 @@ func (b *Broker) TradeBatchOutcomes(queries []Query) []TradeOutcome {
 		rounds = append(rounds, pricing.BatchRound{X: ctx.Features, Reserve: ctx.Reserve})
 		idx = append(idx, i)
 	}
-	priced := bp.PriceBatch(rounds, func(k int, q pricing.Quote) bool {
+	priced := b.mech.PriceBatch(rounds, func(k int, q pricing.Quote) bool {
 		return pricing.Sold(q.Price, queries[idx[k]].Valuation)
 	})
 	b.settleBatch(queries, ctxs, idx, priced, out)
-	for i, ctx := range ctxs {
-		if pooled[i] {
+	for _, ctx := range ctxs {
+		if ctx != nil {
 			b.ctxPool.Put(ctx)
 		}
 	}
@@ -427,18 +349,18 @@ func (b *Broker) TradeBatchOutcomes(queries []Query) []TradeOutcome {
 // parallelism buys on support-sparse prepares.
 const minPrepareChunk = 8
 
-// prepareAll runs quoteFor for every query, filling ctxs/pooled (or
+// prepareAll runs quoteFor for every query, filling ctxs (or
 // out[i].Err) index-aligned. Large batches fan out across a bounded
 // worker pool: Prepare reads only the broker's immutable config, so the
-// only shared state is the cache's own mutex and the context pool.
-func (b *Broker) prepareAll(queries []Query, ctxs []*QuoteContext, pooled []bool, out []TradeOutcome) {
+// only shared state is the context pool.
+func (b *Broker) prepareAll(queries []Query, ctxs []*QuoteContext, out []TradeOutcome) {
 	prep := func(i int) {
-		ctx, p, err := b.quoteFor(queries[i].Q)
+		ctx, err := b.quoteFor(queries[i].Q)
 		if err != nil {
 			out[i].Err = fmt.Errorf("preparing query: %w", err)
 			return
 		}
-		ctxs[i], pooled[i] = ctx, p
+		ctxs[i] = ctx
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if most := len(queries) / minPrepareChunk; workers > most {

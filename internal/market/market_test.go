@@ -45,7 +45,7 @@ func testMechanism(t *testing.T, n int, T int) *pricing.Mechanism {
 
 func TestNewBrokerValidation(t *testing.T) {
 	owners := testOwners(t, 10, 1)
-	mech := testMechanism(t, 4, 100)
+	mech := pricing.NewSync(testMechanism(t, 4, 100))
 	if _, err := NewBroker(Config{Mechanism: mech, FeatureDim: 4}); err == nil {
 		t.Fatal("expected no-owners error")
 	}
@@ -79,7 +79,7 @@ func TestNewBrokerValidation(t *testing.T) {
 
 func TestPreparePipeline(t *testing.T) {
 	owners := testOwners(t, 20, 4)
-	mech := testMechanism(t, 5, 100)
+	mech := pricing.NewSync(testMechanism(t, 5, 100))
 	b, err := NewBroker(Config{Owners: owners, Mechanism: mech, FeatureDim: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestTradeFullLoop(t *testing.T) {
 		T      = 2000
 	)
 	ownerPop := testOwners(t, owners, 6)
-	mech := testMechanism(t, n, T)
+	mech := pricing.NewSync(testMechanism(t, n, T))
 	b, err := NewBroker(Config{Owners: ownerPop, Mechanism: mech, FeatureDim: n, Seed: 7, KeepRecords: true})
 	if err != nil {
 		t.Fatal(err)
@@ -517,58 +517,15 @@ func TestTradeBatchMatchesSequentialTrades(t *testing.T) {
 	}
 }
 
-// TestTradeBatchFallback covers the non-batch poster path: a bare
-// *Mechanism does not implement BatchRoundPoster, so TradeBatch must
-// fall back to sequential trades and still fill the ledger.
-func TestTradeBatchFallback(t *testing.T) {
-	const owners, n, T = 20, 3, 50
-	ownerPop := testOwners(t, owners, 41)
-	b, err := NewBroker(Config{
-		Owners: ownerPop, Mechanism: testMechanism(t, n, T),
-		FeatureDim: n, Seed: 42, KeepRecords: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	theta := randx.New(43).NormalVector(n, 1)
-	for i := range theta {
-		theta[i] = math.Abs(theta[i])
-	}
-	theta.Normalize()
-	theta.Scale(math.Sqrt(2 * float64(n)))
-	cm, err := NewConsumerModel(ConsumerConfig{Owners: ownerPop, FeatureDim: n, Theta: theta})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := randx.New(44)
-	queries := make([]Query, T)
-	for i := range queries {
-		q, err := cm.NextQuery(rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		queries[i] = q
-	}
-	txs, err := b.TradeBatch(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(txs) != T || len(b.Ledger()) != T {
-		t.Fatalf("fallback batch: %d transactions, %d ledger entries, want %d", len(txs), len(b.Ledger()), T)
-	}
-}
-
-// TestTradeBatchPartialFailure pins the uniform failure semantics of
-// TradeBatch on both the batch and the fallback path: a query that
-// fails to prepare mid-batch leaves no ledger entry, every other query
-// still trades, and the joined error names the failure.
+// TestTradeBatchPartialFailure pins the failure semantics of TradeBatch:
+// a query that fails to prepare mid-batch leaves no ledger entry, every
+// other query still trades, and the joined error names the failure.
 func TestTradeBatchPartialFailure(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		mech func() pricing.Poster
+		mech func() *pricing.SyncPoster
 	}{
-		{"batch-poster", func() pricing.Poster { return pricing.NewSync(testMechanism(t, 2, 100)) }},
-		{"fallback-poster", func() pricing.Poster { return testMechanism(t, 2, 100) }},
+		{"batch-poster", func() *pricing.SyncPoster { return pricing.NewSync(testMechanism(t, 2, 100)) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ownerPop := testOwners(t, 8, 51)
@@ -608,8 +565,8 @@ func TestTradeBatchPartialFailure(t *testing.T) {
 
 // TestBrokerHostsEveryFamily drives the broker with a poster of each
 // hosted pricing family behind SyncPoster, through both Trade and
-// TradeBatch: the broker is mechanism-agnostic and only requires the
-// RoundPoster/BatchRoundPoster interfaces.
+// TradeBatch: the broker is mechanism-agnostic and takes any family
+// through SyncPoster.
 func TestBrokerHostsEveryFamily(t *testing.T) {
 	const owners, n, T = 20, 3, 120
 	specs := map[pricing.Family]pricing.FamilySpec{

@@ -17,14 +17,6 @@ type BatchOutcome struct {
 	Err      error
 }
 
-// BatchRoundPoster is a RoundPoster that can additionally price k rounds
-// under a single synchronization point, amortizing per-round lock and
-// dispatch overhead. SyncPoster implements it.
-type BatchRoundPoster interface {
-	RoundPoster
-	PriceBatch(rounds []BatchRound, respond func(i int, q Quote) bool) []BatchOutcome
-}
-
 // PriceBatch runs len(rounds) full rounds back to back under ONE lock
 // acquisition: for each round it posts the price, obtains the buyer's
 // decision from respond(i, quote), and delivers the feedback before
@@ -53,8 +45,5 @@ func (s *SyncPoster) PriceBatch(rounds []BatchRound, respond func(i int, q Quote
 // Pending reports whether the wrapped poster has a two-phase round
 // awaiting feedback. It reads the lock-free shadow maintained under the
 // lock by every state-changing method, so it is exact and never waits
-// behind an in-flight round or batch. Posters that do not track pending
-// state report false.
+// behind an in-flight round or batch.
 func (s *SyncPoster) Pending() bool { return s.pending.Load() }
-
-var _ BatchRoundPoster = (*SyncPoster)(nil)

@@ -65,19 +65,20 @@ func TestPriceBatchMatchesSingleRounds(t *testing.T) {
 		}
 	}
 
-	cs, _ := single.Counters()
-	cb, _ := batched.Counters()
+	cs := single.Counters()
+	cb := batched.Counters()
 	if cs != cb {
 		t.Fatalf("counters diverged: single %+v, batch %+v", cs, cb)
 	}
-	ss, err := single.Snapshot()
+	es, err := single.SnapshotEnvelope()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := batched.Snapshot()
+	eb, err := batched.SnapshotEnvelope()
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss, sb := es.Linear, eb.Linear
 	if !linalg.Vector(ss.Center).Equal(linalg.Vector(sb.Center), 0) {
 		t.Fatalf("ellipsoid centers diverged:\n%v\n%v", ss.Center, sb.Center)
 	}
@@ -102,7 +103,7 @@ func TestPriceBatchPerItemError(t *testing.T) {
 	if out[1].Err == nil {
 		t.Fatal("dimension-mismatch round did not error")
 	}
-	c, _ := sp.Counters()
+	c := sp.Counters()
 	if c.Rounds != 2 {
 		t.Fatalf("mechanism saw %d rounds, want 2", c.Rounds)
 	}
@@ -164,7 +165,7 @@ func TestPriceBatchConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	c, _ := sp.Counters()
+	c := sp.Counters()
 	if want := workers * perBatch * batches; c.Rounds != want {
 		t.Fatalf("counted %d rounds, want %d", c.Rounds, want)
 	}

@@ -204,11 +204,12 @@ type FamilySpec struct {
 
 // FamilyPoster is the capability bundle every hosted family implements:
 // two-phase posting, pending introspection, bookkeeping, and a
-// family-tagged snapshot envelope. SyncPoster can wrap any FamilyPoster
-// and forwards every capability, so the serving stack works uniformly.
+// family-tagged snapshot envelope. SyncPoster wraps a FamilyPoster and
+// forwards every capability, so the serving stack works uniformly.
 type FamilyPoster interface {
 	Poster
-	CounterSource
+	// Counters returns the per-round bookkeeping.
+	Counters() Counters
 	// Pending reports whether a posted price is awaiting Observe.
 	Pending() bool
 	// Dim returns the input feature dimension.

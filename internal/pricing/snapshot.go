@@ -39,15 +39,12 @@ func (m *Mechanism) Snapshot() (*Snapshot, error) {
 	if m.pending {
 		return nil, fmt.Errorf("pricing: cannot snapshot with a round pending feedback: %w", ErrPendingRound)
 	}
-	shape := m.ell.Shape()
-	flat := make([]float64, 0, m.n*m.n)
-	for i := 0; i < m.n; i++ {
-		flat = append(flat, shape.Row(i)...)
-	}
+	// Shape() returns a fresh mirrored copy, so the snapshot can own its
+	// storage.
 	return &Snapshot{
 		Version:          snapshotVersion,
 		N:                m.n,
-		Shape:            flat,
+		Shape:            m.ell.Shape().Data(),
 		Center:           m.ell.Center(),
 		Threshold:        m.cfg.eps,
 		Delta:            m.cfg.delta,
@@ -113,9 +110,7 @@ func Restore(s *Snapshot) (*Mechanism, error) {
 		return nil, fmt.Errorf("pricing: snapshot delta %g invalid", s.Delta)
 	}
 	shape := linalg.NewMatrix(s.N, s.N)
-	for i := 0; i < s.N; i++ {
-		copy(shape.Row(i), s.Shape[i*s.N:(i+1)*s.N])
-	}
+	copy(shape.Data(), s.Shape)
 	ell, err := ellipsoid.New(shape, linalg.Vector(s.Center))
 	if err != nil {
 		return nil, fmt.Errorf("pricing: snapshot knowledge set invalid: %w", err)

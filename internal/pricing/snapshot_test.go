@@ -2,6 +2,7 @@ package pricing
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -60,5 +61,32 @@ func TestRestoreRejectsNonFinite(t *testing.T) {
 	}
 	if _, err := restored.PostPrice(linalg.VectorOf(1, 0), 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+var sinkSnapshot *Snapshot
+
+// TestSnapshotAllocs pins that Snapshot copies the n×n shape matrix
+// once: the mirrored Shape() copy becomes the snapshot's own storage
+// rather than being copied again into a second slice.
+func TestSnapshotAllocs(t *testing.T) {
+	const n, calls = 128, 20
+	m, err := New(n, 1, WithThreshold(0.05))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		snap, err := m.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sinkSnapshot = snap
+	}
+	runtime.ReadMemStats(&after)
+	shape := uint64(8 * n * n)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= shape*5/4 {
+		t.Fatalf("Snapshot allocates %d B per call at n=%d, want < 1.25 × the %d B shape matrix", per, n, shape)
 	}
 }

@@ -8,38 +8,15 @@ import (
 	"datamarket/internal/linalg"
 )
 
-// RoundPoster is a Poster that can additionally run one full
-// post-respond-observe round atomically. Servers and brokers that host a
-// mechanism behind concurrent callers should prefer PriceRound over the
-// split PostPrice/Observe calls so rounds never interleave.
-type RoundPoster interface {
-	Poster
-	PriceRound(x linalg.Vector, reserve float64, respond func(Quote) bool) (Quote, bool, error)
-}
-
-// Snapshotter is a Poster whose full state can be captured for durable
-// storage. *Mechanism implements it; wrappers such as SyncPoster forward
-// to the wrapped poster when it does.
-type Snapshotter interface {
-	Snapshot() (*Snapshot, error)
-}
-
-// EnvelopeSnapshotter is a Poster whose full state can be captured in a
-// family-tagged envelope. Every hosted family implements it; wrappers
-// such as SyncPoster forward to the wrapped poster when it does.
-type EnvelopeSnapshotter interface {
-	SnapshotEnvelope() (*Envelope, error)
-}
-
-// SyncPoster wraps any Poster with a mutex so a single pricing stream can
-// be driven from multiple goroutines (e.g. an HTTP handler per request).
-// The PostPrice/Observe protocol remains one-round-at-a-time; Quote is
-// the caller's cue to respond before the next round, so the typical
-// pattern is to hold the round open inside one request handler via
+// SyncPoster wraps a FamilyPoster with a mutex so a single pricing stream
+// can be driven from multiple goroutines (e.g. an HTTP handler per
+// request). The PostPrice/Observe protocol remains one-round-at-a-time;
+// Quote is the caller's cue to respond before the next round, so the
+// typical pattern is to hold the round open inside one request handler via
 // PriceRound.
 type SyncPoster struct {
 	mu    sync.Mutex
-	inner Poster
+	inner FamilyPoster
 
 	// pending shadows the wrapped poster's pending state. Every state
 	// change runs under mu and refreshes the shadow before unlocking, so
@@ -57,18 +34,12 @@ type SyncPoster struct {
 	rev atomic.Uint64
 }
 
-// NewSync wraps a Poster for concurrent use.
-func NewSync(inner Poster) *SyncPoster { return &SyncPoster{inner: inner} }
+// NewSync wraps a FamilyPoster for concurrent use.
+func NewSync(inner FamilyPoster) *SyncPoster { return &SyncPoster{inner: inner} }
 
 // refreshPending re-derives the pending shadow from the wrapped poster.
 // The caller must hold s.mu.
-func (s *SyncPoster) refreshPending() {
-	if p, ok := s.inner.(interface{ Pending() bool }); ok {
-		s.pending.Store(p.Pending())
-	} else {
-		s.pending.Store(false)
-	}
-}
+func (s *SyncPoster) refreshPending() { s.pending.Store(s.inner.Pending()) }
 
 // Revision returns the monotonic mutation counter: it increases on every
 // state-mutating call (pricing rounds, observes, batches, restores) and
@@ -134,56 +105,19 @@ func (s *SyncPoster) priceRoundLocked(x linalg.Vector, reserve float64, i int,
 	return q, accepted, nil
 }
 
-// CounterSource is a Poster that exposes per-round bookkeeping.
-// *Mechanism, *NonlinearMechanism, and *SGDPoster all qualify.
-type CounterSource interface {
-	Counters() Counters
-}
-
-// Counters reads the wrapped poster's counters under the lock. The
-// second return is false when the wrapped poster keeps no counters.
-func (s *SyncPoster) Counters() (Counters, bool) {
+// Counters reads the wrapped poster's counters under the lock.
+func (s *SyncPoster) Counters() Counters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cs, ok := s.inner.(CounterSource)
-	if !ok {
-		return Counters{}, false
-	}
-	return cs.Counters(), true
-}
-
-// Snapshot captures the wrapped poster's state under the lock. It fails
-// if the wrapped poster does not support snapshots or has a round pending
-// feedback.
-func (s *SyncPoster) Snapshot() (*Snapshot, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sn, ok := s.inner.(Snapshotter)
-	if !ok {
-		return nil, fmt.Errorf("pricing: wrapped poster %T does not support snapshots", s.inner)
-	}
-	return sn.Snapshot()
+	return s.inner.Counters()
 }
 
 // SnapshotEnvelope captures the wrapped poster's family-tagged state under
-// the lock. It fails if the wrapped poster does not support envelope
-// snapshots or has a round pending feedback.
+// the lock. It fails if the wrapped poster has a round pending feedback.
 func (s *SyncPoster) SnapshotEnvelope() (*Envelope, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	es, ok := s.inner.(EnvelopeSnapshotter)
-	if !ok {
-		return nil, fmt.Errorf("pricing: wrapped poster %T does not support snapshots", s.inner)
-	}
-	return es.SnapshotEnvelope()
-}
-
-// RestoreSnapshot atomically replaces the wrapped poster with a Mechanism
-// rebuilt from the legacy ellipsoid snapshot. It is shorthand for
-// RestoreEnvelopeSnapshot with a linear envelope, so it carries the same
-// family and pending guards.
-func (s *SyncPoster) RestoreSnapshot(snap *Snapshot) error {
-	return s.RestoreEnvelopeSnapshot(&Envelope{Version: EnvelopeVersion, Family: FamilyLinear, Linear: snap})
+	return s.inner.SnapshotEnvelope()
 }
 
 // RestoreEnvelopeSnapshot atomically replaces the wrapped poster with one
@@ -199,14 +133,10 @@ func (s *SyncPoster) RestoreEnvelopeSnapshot(env *Envelope) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur, ok := s.inner.(FamilyPoster)
-	if !ok {
-		return fmt.Errorf("pricing: wrapped poster %T does not support snapshot restore", s.inner)
+	if cur := s.inner.Family(); cur != env.Family {
+		return fmt.Errorf("%w: snapshot is %q, stream hosts %q", ErrFamilyMismatch, env.Family, cur)
 	}
-	if cur.Family() != env.Family {
-		return fmt.Errorf("%w: snapshot is %q, stream hosts %q", ErrFamilyMismatch, env.Family, cur.Family())
-	}
-	if cur.Pending() {
+	if s.inner.Pending() {
 		return fmt.Errorf("pricing: cannot restore while a round is pending feedback: %w", ErrPendingRound)
 	}
 	s.inner = fp
@@ -215,10 +145,4 @@ func (s *SyncPoster) RestoreEnvelopeSnapshot(env *Envelope) error {
 	return nil
 }
 
-var (
-	_ Poster              = (*SyncPoster)(nil)
-	_ RoundPoster         = (*SyncPoster)(nil)
-	_ Snapshotter         = (*SyncPoster)(nil)
-	_ Snapshotter         = (*Mechanism)(nil)
-	_ EnvelopeSnapshotter = (*SyncPoster)(nil)
-)
+var _ Poster = (*SyncPoster)(nil)

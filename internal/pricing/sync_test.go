@@ -59,8 +59,8 @@ func TestSyncPosterSkipRound(t *testing.T) {
 	}
 }
 
-// TestSyncPosterSnapshotRestore exercises the wrapper-level snapshot hook
-// and the in-place restore used by server-hosted streams.
+// TestSyncPosterSnapshotRestore exercises the wrapper-level envelope
+// snapshot and the in-place restore used by server-hosted streams.
 func TestSyncPosterSnapshotRestore(t *testing.T) {
 	const n = 3
 	inner, err := New(n, 2, WithThreshold(0.05))
@@ -82,7 +82,7 @@ func TestSyncPosterSnapshotRestore(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		price(r.OnSphere(n))
 	}
-	snap, err := sp.Snapshot()
+	env, err := sp.SnapshotEnvelope()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,20 +91,20 @@ func TestSyncPosterSnapshotRestore(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		price(r.OnSphere(n))
 	}
-	if err := sp.RestoreSnapshot(snap); err != nil {
+	if err := sp.RestoreEnvelopeSnapshot(env); err != nil {
 		t.Fatal(err)
 	}
-	after, err := sp.Snapshot()
+	after, err := sp.SnapshotEnvelope()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Counters != snap.Counters {
-		t.Fatalf("restored counters %+v, want %+v", after.Counters, snap.Counters)
+	if after.Linear.Counters != env.Linear.Counters {
+		t.Fatalf("restored counters %+v, want %+v", after.Linear.Counters, env.Linear.Counters)
 	}
 
 	// A reference mechanism restored from the same snapshot must agree
 	// with the rolled-back stream on subsequent rounds exactly.
-	ref, err := Restore(snap)
+	ref, err := RestoreEnvelope(env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,15 +123,12 @@ func TestSyncPosterSnapshotRestore(t *testing.T) {
 		}
 	}
 
-	// Snapshot through the wrapper fails cleanly for posters without state.
-	fp, _ := NewFixedPrice(1)
-	if _, err := NewSync(fp).Snapshot(); err == nil {
-		t.Fatal("expected snapshot error for FixedPricePoster")
-	}
-	// And a corrupt snapshot must not replace the live mechanism.
-	bad := *snap
-	bad.Threshold = -1
-	if err := sp.RestoreSnapshot(&bad); err == nil {
+	// A corrupt snapshot must not replace the live mechanism.
+	badLinear := *env.Linear
+	badLinear.Threshold = -1
+	bad := *env
+	bad.Linear = &badLinear
+	if err := sp.RestoreEnvelopeSnapshot(&bad); err == nil {
 		t.Fatal("expected restore error for corrupt snapshot")
 	}
 	if _, err := sp.PostPrice(r.OnSphere(n), math.Inf(-1)); err != nil {
@@ -139,13 +136,13 @@ func TestSyncPosterSnapshotRestore(t *testing.T) {
 	}
 	// Restoring while that round is still pending would discard the
 	// buyer's in-flight decision — it must be refused.
-	if err := sp.RestoreSnapshot(snap); !errors.Is(err, ErrPendingRound) {
+	if err := sp.RestoreEnvelopeSnapshot(env); !errors.Is(err, ErrPendingRound) {
 		t.Fatalf("mid-round restore: err = %v, want ErrPendingRound", err)
 	}
 	if err := sp.Observe(true); err != nil {
 		t.Fatalf("pending round lost after refused restore: %v", err)
 	}
-	if err := sp.RestoreSnapshot(snap); err != nil {
+	if err := sp.RestoreEnvelopeSnapshot(env); err != nil {
 		t.Fatalf("restore between rounds: %v", err)
 	}
 }

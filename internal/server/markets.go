@@ -68,7 +68,7 @@ func (m *HostedMarket) Info() MarketInfo {
 // counters.
 func (m *HostedMarket) Stats() MarketStatsResponse {
 	s := m.broker.Stats()
-	counters, ok := m.poster.Counters()
+	counters := m.poster.Counters()
 	return MarketStatsResponse{
 		ID: m.id, Family: string(m.family),
 		Owners: m.owners, FeatureDim: m.featureDim,
@@ -81,7 +81,7 @@ func (m *HostedMarket) Stats() MarketStatsResponse {
 			CumulativeRevenue: s.CumulativeRevenue,
 			RegretRatio:       s.RegretRatio,
 		},
-		Counters: counters, HasCounters: ok,
+		Counters: counters, HasCounters: true,
 	}
 }
 

@@ -618,30 +618,11 @@ func TestRestoreWithoutRegretResetsTracker(t *testing.T) {
 	}
 }
 
-// counterlessPoster is a bare Poster: no counters, no envelope support.
-type counterlessPoster struct{ inner pricing.Poster }
-
-func (p *counterlessPoster) PostPrice(x linalg.Vector, reserve float64) (pricing.Quote, error) {
-	return p.inner.PostPrice(x, reserve)
-}
-func (p *counterlessPoster) Observe(accepted bool) error { return p.inner.Observe(accepted) }
-
-// TestStatsSurfacesMissingCounters: a poster without counters reports
-// HasCounters false instead of indistinguishable zeros (previously the
-// Counters status was silently swallowed).
+// TestStatsSurfacesMissingCounters: a stream's stats carry its family
+// poster's counters with HasCounters set. Every hosted family keeps
+// counters, so the flag is always true; it stays on the wire until the
+// next API version.
 func TestStatsSurfacesMissingCounters(t *testing.T) {
-	mech, err := pricing.NewFamilyPoster(pricing.FamilySpec{Dim: 2, Horizon: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := &Stream{
-		id: "bare", family: pricing.FamilyLinear, dim: 2,
-		poster:  pricing.NewSync(&counterlessPoster{inner: mech}),
-		tracker: pricing.NewTracker(false),
-	}
-	if s := st.Stats(); s.HasCounters {
-		t.Fatalf("counterless poster reported HasCounters: %+v", s)
-	}
 	reg := NewRegistry(0)
 	full, err := reg.Create(CreateStreamRequest{ID: "full", Dim: 2, Horizon: 100})
 	if err != nil {

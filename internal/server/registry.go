@@ -272,12 +272,9 @@ func (st *Stream) Restore(env *pricing.Envelope) error {
 	return nil
 }
 
-// Stats reports the poster counters and regret bookkeeping. HasCounters
-// distinguishes a poster that keeps no counters from one whose counters
-// are all zero — previously the Counters status bool was silently
-// dropped and such a poster reported indistinguishable zeros.
+// Stats reports the poster counters and regret bookkeeping.
 func (st *Stream) Stats() StatsResponse {
-	counters, ok := st.poster.Counters()
+	counters := st.poster.Counters()
 	st.trackMu.Lock()
 	reg := RegretStats{
 		Rounds:            st.tracker.Rounds(),
@@ -289,7 +286,7 @@ func (st *Stream) Stats() StatsResponse {
 	st.trackMu.Unlock()
 	return StatsResponse{
 		ID: st.id, Family: string(st.family), Dim: st.dim,
-		Counters: counters, HasCounters: ok, Regret: reg,
+		Counters: counters, HasCounters: true, Regret: reg,
 	}
 }
 
