@@ -1,11 +1,12 @@
 # Developer entry points. CI runs the same commands (see
 # .github/workflows/ci.yml), so a green `make ci` locally means a green
-# pipeline — modulo govulncheck/staticcheck, which need network access
+# pipeline — modulo the -race run and the fuzz budget (`make race` runs
+# the former), and govulncheck/staticcheck, which need network access
 # to install and therefore run only in CI.
 
 GO ?= go
 
-.PHONY: build test race vet lint fmt bench-smoke bench-durability bench-serve bench-market bench-loadgen loadgen-smoke perfbench-test ci
+.PHONY: build test race vet lint fmt bench-smoke bench-durability loadgen-smoke perfbench-test ci
 
 build:
 	$(GO) build ./...
@@ -32,7 +33,9 @@ fmt:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt needed on:"; gofmt -l .; exit 1; }
 
 # bench-smoke compiles and runs every benchmark for one iteration so
-# they cannot rot; perf numbers come from manual -benchtime runs.
+# they cannot rot, among them the ones that carry the serving and market
+# acceptance bars (README, "Serving throughput baseline" and "Market
+# fast path performance"); perf numbers come from manual -benchtime runs.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
@@ -42,30 +45,6 @@ bench-smoke:
 # -fsync never) and crash-recovery time vs dirty-stream count.
 bench-durability:
 	$(GO) run ./cmd/durabilitybench -out BENCH_durability.json
-
-# bench-serve regenerates BENCH_serving.json, the tracked perf artifact
-# of the HTTP serving path: per-round and batched rounds/s with p50/p99
-# latency under both wire codecs (the acceptance bars are ≥500k rounds/s
-# on the binary batch path and ≥10× the JSON per-round number).
-bench-serve:
-	$(GO) run ./cmd/servebench -out BENCH_serving.json
-
-# bench-market regenerates BENCH_market.json, the tracked perf artifact
-# of the hosted-market trade loop: dense seed-pipeline baseline vs the
-# sparse batch-settled fast path, plus the served numbers at the HTTP
-# edge (the acceptance bar is batch_over_dense >= 10x on a 10k-owner
-# market with 64-support queries).
-bench-market:
-	$(GO) run ./cmd/servebench -scenario market -out BENCH_market.json
-
-# bench-loadgen regenerates BENCH_loadgen.json, the tracked perf
-# artifact of the scenario engine: the four dataset-shaped workloads
-# (accommodation, impression, ratings, mixed) driven through the public
-# SDK against an in-process broker, each under the open-loop and
-# closed-loop drivers, with latency percentiles, error-code counts, and
-# regret/revenue summaries per scenario.
-bench-loadgen:
-	$(GO) run ./cmd/loadgen -out BENCH_loadgen.json
 
 # loadgen-smoke is the CI gate on the scenario engine: every scenario
 # under both drivers at tiny synthetic sizes (~5s, no datasets needed),
@@ -80,4 +59,4 @@ loadgen-smoke:
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-ci: fmt build vet test lint perfbench-test
+ci: fmt build vet test lint bench-smoke loadgen-smoke perfbench-test

@@ -15,13 +15,12 @@
 // checkpointer appends deltas for streams whose state changed, and boot
 // replays the checkpoint plus every WAL segment back into the registry
 // (shards restore in parallel). Concurrent appenders share fsyncs via
-// group commit — under -fsync always, -commit-window bounds how long a
-// record may linger waiting for batch-mates — and -segment-size caps
-// individual WAL files so a torn tail only ever costs the newest one:
+// group commit — each write carries whatever queued while the previous
+// one was on disk — and -segment-size caps individual WAL files so a
+// torn tail only ever costs the newest one:
 //
 //	brokerd -addr :8080 -data-dir /var/lib/brokerd \
-//	        -checkpoint-interval 5s -fsync always \
-//	        -commit-window 1ms -segment-size 16777216
+//	        -checkpoint-interval 5s -fsync always -segment-size 16777216
 //
 // The wire contract is the public datamarket/api package and is
 // versioned: GET /v1/version reports it, every non-2xx response carries
@@ -93,19 +92,18 @@ func main() {
 		dataDir = flag.String("data-dir", "", "journal directory for durable streams (empty: in-memory only)")
 		ckptIvl = flag.Duration("checkpoint-interval", server.DefaultCheckpointInterval, "background checkpointer period")
 		fsync   = flag.String("fsync", string(store.FsyncInterval), "journal fsync policy: always, interval, or never")
-		commitW = flag.Duration("commit-window", 0, "max time a record waits for group-commit batch-mates under -fsync always (0: default 1ms, negative: commit immediately)")
 		segSize = flag.Int64("segment-size", 0, "WAL segment rotation threshold in bytes (0: default 16MiB, negative: single unbounded segment)")
 		verbose = flag.Bool("verbose", false, "log every request (method, path, status, latency) and checkpoint activity")
 	)
 	flag.Parse()
 
-	if err := run(*addr, *shards, *dataDir, *ckptIvl, *fsync, *commitW, *segSize, *verbose); err != nil {
+	if err := run(*addr, *shards, *dataDir, *ckptIvl, *fsync, *segSize, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "brokerd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, shards int, dataDir string, ckptIvl time.Duration, fsync string, commitW time.Duration, segSize int64, verbose bool) error {
+func run(addr string, shards int, dataDir string, ckptIvl time.Duration, fsync string, segSize int64, verbose bool) error {
 	reg := server.NewRegistry(shards)
 	srv := server.NewServer(reg)
 
@@ -116,7 +114,7 @@ func run(addr string, shards int, dataDir string, ckptIvl time.Duration, fsync s
 			return err
 		}
 		st, err := store.OpenJournal(store.JournalConfig{
-			Dir: dataDir, Fsync: policy, CommitWindow: commitW, SegmentSize: segSize,
+			Dir: dataDir, Fsync: policy, SegmentSize: segSize,
 		})
 		if err != nil {
 			return err

@@ -87,9 +87,10 @@ type recoveryResult struct {
 }
 
 type report struct {
-	Tool      string `json:"tool"`
-	GoVersion string `json:"go_version"`
-	CPUs      int    `json:"cpus"`
+	Tool       string `json:"tool"`
+	GoVersion  string `json:"go_version"`
+	CPUs       int    `json:"cpus"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
 	// AlwaysOverNeverSlowdown is the acceptance headline: sustained
 	// durable throughput under -fsync always as a slowdown factor over
 	// -fsync never (target: ≤ ~2×).
@@ -100,9 +101,10 @@ type report struct {
 
 func run(out string, duration time.Duration, streams, workers, total int, dirtySpec string) error {
 	rep := report{
-		Tool:      "cmd/durabilitybench",
-		GoVersion: runtime.Version(),
-		CPUs:      runtime.NumCPU(),
+		Tool:       "cmd/durabilitybench",
+		GoVersion:  runtime.Version(),
+		CPUs:       runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 
 	var never float64

@@ -1,8 +1,10 @@
 // Command loadgen is the scenario engine: it replays the paper's
 // evaluation datasets (§VI) against a live brokerd entirely through the
-// public SDK and emits BENCH_loadgen.json, the tracked perf artifact of
-// the serving stack under dataset-shaped load (`make bench-loadgen`
-// regenerates it; `make loadgen-smoke` is the fast CI variant).
+// public SDK, prints one table row per scenario and driver, and with
+// -out also writes the rows as a JSON report. `make loadgen-smoke` is
+// its CI gate. The gated benchmark of the serving stack is perfbench
+// (see BENCHMARK.json); loadgen is the driver to point at a running
+// brokerd.
 //
 // Four scenarios (-scenario, default all):
 //
@@ -22,18 +24,18 @@
 // synthetic fallback, so no raw dataset files are needed; -airbnb,
 // -avazu, and -movielens feed real CSVs when present.
 //
-// With -addr unset, loadgen hosts an in-process brokerd (the
-// self-contained benchmark); point -addr at a running broker to load
-// it over real sockets.
+// With -addr unset, loadgen hosts an in-process brokerd (what -smoke
+// runs against); point -addr at a running broker to load it over real
+// sockets.
 //
 // The default open-loop rate is deliberately sustainable by every
-// scenario, so the artifact tracks latency-at-load; raise -rate to
+// scenario, so the report tracks latency-at-load; raise -rate to
 // push a scenario into overload and the coordinated-omission-safe
 // driver reports the queueing delay honestly instead of hiding it.
 //
 // Usage:
 //
-//	loadgen -duration 2s -out BENCH_loadgen.json
+//	loadgen -duration 2s -out loadgen.json
 //	loadgen -smoke            # CI: tiny sizes, asserts a clean run
 //	loadgen -addr http://localhost:8080 -scenario impression -rate 2000 -binary
 package main
@@ -73,7 +75,7 @@ func main() {
 		airbnbCSV   = flag.String("airbnb", "", "real Airbnb listings CSV (optional)")
 		avazuCSV    = flag.String("avazu", "", "real Avazu impressions CSV (optional)")
 		mlCSV       = flag.String("movielens", "", "real MovieLens ratings CSV (optional)")
-		out         = flag.String("out", "", "report path (default BENCH_loadgen.json; none in -smoke)")
+		out         = flag.String("out", "", "JSON report path (none when empty)")
 		smoke       = flag.Bool("smoke", false, "CI smoke: tiny synthetic sizes, short windows, fail on any error beyond -error-budget")
 		errBudget   = flag.Int64("error-budget", 0, "max tolerated failed ops in -smoke")
 	)
@@ -218,9 +220,6 @@ func run(c config) error {
 		rep.Scenarios = append(rep.Scenarios, sr)
 	}
 
-	if c.out == "" && !c.smoke {
-		c.out = "BENCH_loadgen.json"
-	}
 	if c.out != "" {
 		if err := rep.WriteFile(c.out); err != nil {
 			return err

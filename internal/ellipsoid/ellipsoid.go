@@ -69,7 +69,10 @@ func NewBall(n int, radius float64) (*E, error) {
 }
 
 // New builds an ellipsoid from an explicit shape matrix and center. The
-// shape must be symmetric positive definite.
+// shape must be symmetric positive definite. New takes ownership of
+// shape: the ellipsoid keeps its storage (symmetrized in place), so the
+// caller must not use or modify it afterwards; pass a Clone to keep a
+// copy. The center is copied.
 func New(shape *linalg.Matrix, center linalg.Vector) (*E, error) {
 	n := len(center)
 	if shape.Rows() != n || shape.Cols() != n {
@@ -93,7 +96,7 @@ func New(shape *linalg.Matrix, center linalg.Vector) (*E, error) {
 	if !linalg.IsPositiveDefinite(shape) {
 		return nil, fmt.Errorf("ellipsoid: shape matrix is not positive definite")
 	}
-	return &E{n: n, a: linalg.NewSym(shape.Clone().Symmetrize()), c: center.Clone()}, nil
+	return &E{n: n, a: linalg.NewSym(shape.Symmetrize()), c: center.Clone()}, nil
 }
 
 // FromBox returns the ball enclosing the axis-aligned box Π[lo_i, hi_i]:

@@ -98,7 +98,7 @@ type ScenarioReport struct {
 	Summary  *ScenarioSummary `json:"summary,omitempty"`
 }
 
-// Report is the BENCH_loadgen.json artifact.
+// Report is the JSON report cmd/loadgen writes with -out.
 type Report struct {
 	Tool      string            `json:"tool"`
 	GoVersion string            `json:"go_version"`

@@ -109,6 +109,8 @@ func Restore(s *Snapshot) (*Mechanism, error) {
 	if !isFinite(s.Delta) || s.Delta < 0 {
 		return nil, fmt.Errorf("pricing: snapshot delta %g invalid", s.Delta)
 	}
+	// The knowledge set takes ownership of this fresh copy, so the
+	// restored mechanism shares no storage with the snapshot.
 	shape := linalg.NewMatrix(s.N, s.N)
 	copy(shape.Data(), s.Shape)
 	ell, err := ellipsoid.New(shape, linalg.Vector(s.Center))

@@ -90,3 +90,34 @@ func TestSnapshotAllocs(t *testing.T) {
 		t.Fatalf("Snapshot allocates %d B per call at n=%d, want < 1.25 × the %d B shape matrix", per, n, shape)
 	}
 }
+
+var sinkMechanism *Mechanism
+
+// TestRestoreAllocs pins that Restore allocates the n×n shape matrix
+// twice: the fresh copy the knowledge set takes over, and the Cholesky
+// factor that validates it.
+func TestRestoreAllocs(t *testing.T) {
+	const n, calls = 128, 20
+	m, err := New(n, 1, WithThreshold(0.05))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		r, err := Restore(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sinkMechanism = r
+	}
+	runtime.ReadMemStats(&after)
+	shape := uint64(8 * n * n)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= shape*9/4 {
+		t.Fatalf("Restore allocates %d B per call at n=%d, want < 2.25 × the %d B shape matrix", per, n, shape)
+	}
+}

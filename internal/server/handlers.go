@@ -48,9 +48,6 @@ func NewServer(reg *Registry) *Server {
 // tests and larger binaries).
 func (s *Server) Registry() *Registry { return s.reg }
 
-// Markets exposes the hosted market registry.
-func (s *Server) Markets() *MarketRegistry { return s.markets }
-
 // SetPersister attaches the persistence subsystem so the admin endpoints
 // can drive it. Without one, POST /v1/admin/checkpoint answers 503 and
 // GET /v1/admin/store reports configured: false.

@@ -132,7 +132,7 @@ func testHostedMarketMatchesLocalBroker(t *testing.T, sparse bool) {
 	}
 
 	// The full ledgers and payout vectors must agree entry for entry.
-	hosted, err := srv.Markets().Get("equiv")
+	hosted, err := srv.markets.Get("equiv")
 	if err != nil {
 		t.Fatal(err)
 	}

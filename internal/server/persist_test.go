@@ -246,7 +246,6 @@ func TestKillDuringLoadFsyncAlways(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.OpenJournal(store.JournalConfig{
 		Dir: dir, Fsync: store.FsyncAlways,
-		CommitWindow: 200 * time.Microsecond,
 		// Rotate constantly so the snapshot spans many segments, and
 		// never compact: a checkpoint rewrite racing the copy would not
 		// be crash-consistent (a real kill -9 can't catch a rename

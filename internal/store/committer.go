@@ -7,26 +7,16 @@ package store
 // one write and, under FsyncAlways, one fsync per batch — so N
 // concurrent appenders share one disk round trip instead of paying N.
 //
-// Batching is two-tiered. The committer naturally groups whatever
-// accumulated while the previous batch's I/O was in flight (zero added
-// latency: the fsync itself is the accumulation window). On top of
-// that, a positive CommitWindow makes the committer linger up to that
-// long after the first record of a batch arrives, trading bounded
-// latency for larger batches; the batch is flushed immediately when it
-// reaches the size cap. The window only applies under FsyncAlways —
-// with no fsync to amortize there is nothing to wait for.
+// One batching rule: a batch is whatever queued while the previous
+// batch's write and fsync were in flight. A lone appender commits at
+// once, and concurrent appenders pile up behind the disk round trip
+// they wait on anyway, so batching adds no latency of its own. The SDK
+// Flusher coalesces calls by the same rule.
 
 import (
 	"fmt"
 	"io"
 	"time"
-)
-
-// Batch caps: a commit is flushed early once it holds this many records
-// or this many frame bytes, whichever comes first.
-const (
-	maxCommitRecords = 512
-	maxCommitBytes   = 8 << 20
 )
 
 // commitReq is one enqueued record awaiting its group commit.
@@ -62,27 +52,17 @@ func (j *Journal) enqueue(rec *record, e Entry) (*commitReq, error) {
 		frame: frame, op: rec.Op, id: rec.ID, entry: e,
 		enq: time.Now(), done: make(chan error, 1),
 	}
-	if len(j.pending) == 0 {
-		j.pendingSince = req.enq
-	}
 	j.pending = append(j.pending, req)
-	j.pendingBytes += int64(len(frame))
 	select {
 	case j.kick <- struct{}{}:
 	default:
 	}
-	if len(j.pending) >= maxCommitRecords || j.pendingBytes >= maxCommitBytes {
-		select {
-		case j.full <- struct{}{}:
-		default:
-		}
-	}
 	return req, nil
 }
 
-// committerLoop is the group-commit goroutine: wait for work, optionally
-// linger for the commit window, commit one batch, repeat. On shutdown it
-// drains every record enqueued before Close latched the journal.
+// committerLoop is the group-commit goroutine: wait for work, commit
+// everything queued as one batch, repeat. On shutdown it drains every
+// record enqueued before Close latched the journal.
 func (j *Journal) committerLoop() {
 	defer close(j.commitDone)
 	for {
@@ -93,38 +73,7 @@ func (j *Journal) committerLoop() {
 			}
 			return
 		}
-		j.waitCommitWindow()
 		j.commitBatch()
-	}
-}
-
-// waitCommitWindow lingers until the oldest pending record has waited
-// CommitWindow, the batch fills, or the journal closes. FsyncAlways
-// only: without an fsync to share, delaying a commit buys nothing. A
-// lone pending record commits immediately too — lingering only pays off
-// when there are siblings to batch with, and a sequential appender gets
-// its old per-append latency back (concurrent appenders still pile up
-// naturally while the previous batch's fsync is in flight).
-func (j *Journal) waitCommitWindow() {
-	if j.cfg.Fsync != FsyncAlways || j.cfg.CommitWindow <= 0 {
-		return
-	}
-	j.mu.Lock()
-	wait := time.Duration(0)
-	if !j.closed && len(j.pending) > 1 &&
-		len(j.pending) < maxCommitRecords && j.pendingBytes < maxCommitBytes {
-		wait = time.Until(j.pendingSince.Add(j.cfg.CommitWindow))
-	}
-	j.mu.Unlock()
-	if wait <= 0 {
-		return
-	}
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-j.full:
-	case <-j.stopCommit:
 	}
 }
 
@@ -149,7 +98,6 @@ func (j *Journal) commitBatch() bool {
 	}
 	batch := j.pending
 	j.pending = nil
-	j.pendingBytes = 0
 	if j.broken {
 		// The journal latched broken with records still queued: fail
 		// them without touching the file (the good prefix must stay

@@ -57,11 +57,6 @@ type JournalConfig struct {
 	// committer rotates to a fresh segment. Default 16 MB; negative
 	// disables rotation (single ever-growing active segment).
 	SegmentSize int64
-	// CommitWindow bounds how long the committer lingers after the first
-	// record of a batch arrives, accumulating more records so they share
-	// one fsync (FsyncAlways only; a full batch flushes immediately).
-	// Default 1ms; negative commits every batch as soon as it is seen.
-	CommitWindow time.Duration
 	// CompactAt is the journal-tail size (bytes, summed across segments)
 	// beyond which MaybeCompact compacts. Default 64 MB; negative makes
 	// MaybeCompact a no-op (explicit Compact calls still work).
@@ -77,7 +72,7 @@ type JournalConfig struct {
 //
 // Writes go through group commit: appenders enqueue framed records and
 // a single committer goroutine batches them into one write (and, under
-// FsyncAlways, one shared fsync) per commit window — see committer.go.
+// FsyncAlways, one shared fsync) per batch — see committer.go.
 // The committer also rotates the active segment at SegmentSize
 // boundaries; retired segments are immutable until a compaction folds
 // every segment's records into the base checkpoint and deletes them.
@@ -109,10 +104,8 @@ type Journal struct {
 	dirty   bool   // appended since last fsync
 
 	// Group-commit queue (see committer.go).
-	pending      []*commitReq
-	pendingBytes int64
-	pendingSince time.Time // when pending went empty → non-empty
-	committing   bool      // batch I/O in flight outside the lock
+	pending    []*commitReq
+	committing bool // batch I/O in flight outside the lock
 
 	entries map[string]Entry
 	lsn     uint64 // last assigned sequence number
@@ -131,7 +124,6 @@ type Journal struct {
 	tornRepaired   bool
 
 	kick       chan struct{} // buffered 1: records pending
-	full       chan struct{} // buffered 1: batch hit a size cap
 	stopCommit chan struct{}
 	commitDone chan struct{}
 	stopSync   chan struct{}
@@ -158,9 +150,6 @@ func OpenJournal(cfg JournalConfig) (*Journal, error) {
 	if cfg.SegmentSize == 0 {
 		cfg.SegmentSize = 16 << 20
 	}
-	if cfg.CommitWindow == 0 {
-		cfg.CommitWindow = time.Millisecond
-	}
 	if cfg.CompactAt == 0 {
 		cfg.CompactAt = 64 << 20
 	}
@@ -186,7 +175,6 @@ func OpenJournal(cfg JournalConfig) (*Journal, error) {
 	}
 	j.recovered = len(j.entries)
 	j.kick = make(chan struct{}, 1)
-	j.full = make(chan struct{}, 1)
 	j.stopCommit = make(chan struct{})
 	j.commitDone = make(chan struct{})
 	go j.committerLoop()

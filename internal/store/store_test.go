@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"datamarket/internal/pricing"
 )
@@ -590,7 +589,7 @@ func TestJournalDeltaSupersession(t *testing.T) {
 // than appends — without losing a record.
 func TestJournalGroupCommitSharesFsyncs(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(JournalConfig{Dir: dir, Fsync: FsyncAlways, CommitWindow: 2 * time.Millisecond})
+	j, err := OpenJournal(JournalConfig{Dir: dir, Fsync: FsyncAlways})
 	if err != nil {
 		t.Fatalf("OpenJournal: %v", err)
 	}
