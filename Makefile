@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint fmt bench-smoke bench-durability loadgen-smoke perfbench-test ci
+.PHONY: build test test-portable race vet lint fmt bench-smoke bench-durability loadgen-smoke perfbench-test ci
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,15 @@ build:
 
 test:
 	$(GO) test ./...
+
+# test-portable runs the bit-identity tests of the knowledge-set update on
+# the portable Go path. On amd64 with AVX, linalg's Sym.RankOneScale always
+# takes its assembly kernel, so no other target runs the Go loop through
+# ellipsoid's Cut. GOARCH=386 builds have no kernel; their binaries run
+# natively on amd64 Linux, and Go's 386 float64 arithmetic is SSE2, which
+# rounds as amd64 does (~20s).
+test-portable:
+	GOARCH=386 $(GO) test -count=1 -run 'CutMatchesReference|RankOneScale|IgnoresLowerTriangle|ZeroAllocs' ./internal/linalg/ ./internal/ellipsoid/
 
 race:
 	$(GO) test -race ./...
@@ -42,7 +51,8 @@ bench-smoke:
 # bench-durability regenerates BENCH_durability.json, the tracked perf
 # artifact of the durability stack: sustained durable pricing throughput
 # per fsync policy (the acceptance bar is -fsync always within ~2× of
-# -fsync never) and crash-recovery time vs dirty-stream count.
+# -fsync never) and crash-recovery time vs dirty-stream count, each row
+# the median and quartiles of 5 runs (~10s).
 bench-durability:
 	$(GO) run ./cmd/durabilitybench -out BENCH_durability.json
 
@@ -59,4 +69,4 @@ loadgen-smoke:
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-ci: fmt build vet test lint bench-smoke loadgen-smoke perfbench-test
+ci: fmt build vet test test-portable lint bench-smoke loadgen-smoke perfbench-test

@@ -17,6 +17,10 @@
 //     work scales with the WAL tail (the dirty count), not the total
 //     stream count, and shard-parallel restore absorbs the rest.
 //
+// Every row is measured five times, one run of each row per repetition,
+// and reports the median and quartiles of its runs; the headline ratio
+// is taken from the medians.
+//
 // Usage:
 //
 //	durabilitybench -out BENCH_durability.json -duration 400ms \
@@ -39,6 +43,7 @@ import (
 	"datamarket/internal/histo"
 	"datamarket/internal/linalg"
 	"datamarket/internal/server"
+	"datamarket/internal/stats"
 	"datamarket/internal/store"
 )
 
@@ -59,22 +64,41 @@ func main() {
 	}
 }
 
+// runs is how many times each throughput and recovery row is measured.
+// Each repetition cycles through the fsync policies (and the dirty
+// counts), so drift of the host spreads across every row alike.
+const runs = 5
+
+// spread is one metric over the runs of a row: its median and quartiles,
+// by linear interpolation between order statistics.
+type spread struct {
+	Median float64 `json:"median"`
+	Q1     float64 `json:"q1"`
+	Q3     float64 `json:"q3"`
+}
+
+func spreadOf(xs []float64) spread {
+	return spread{
+		Median: round3(stats.Quantile(xs, 0.5)),
+		Q1:     round3(stats.Quantile(xs, 0.25)),
+		Q3:     round3(stats.Quantile(xs, 0.75)),
+	}
+}
+
 type throughputResult struct {
-	Fsync        string  `json:"fsync"`
-	Streams      int     `json:"streams"`
-	Workers      int     `json:"workers"`
+	Fsync   string `json:"fsync"`
+	Streams int    `json:"streams"`
+	Workers int    `json:"workers"`
+	// DurationSec is the measured window of each run.
 	DurationSec  float64 `json:"duration_sec"`
-	Rounds       int64   `json:"rounds"`
-	RoundsPerSec float64 `json:"rounds_per_sec"`
-	// Per-round latency over the window (one lookup + priced round, with
-	// the checkpoint enqueue riding on the same shard lock).
+	RoundsPerSec spread  `json:"rounds_per_sec"`
+	// Per-round latency over every run's window (one lookup + priced
+	// round, with the checkpoint enqueue riding on the same shard lock).
 	P50Micros float64 `json:"p50_us"`
 	P99Micros float64 `json:"p99_us"`
-	// Group-commit shape over the window: how many records each shared
-	// write (and fsync, under "always") carried.
-	Commits          uint64  `json:"commits"`
-	CommitRecords    uint64  `json:"commit_records"`
-	RecordsPerCommit float64 `json:"records_per_commit"`
+	// Group-commit shape: how many records each shared write (and fsync,
+	// under "always") carried.
+	RecordsPerCommit spread `json:"records_per_commit"`
 }
 
 type recoveryResult struct {
@@ -82,8 +106,8 @@ type recoveryResult struct {
 	DirtyStreams int `json:"dirty_streams"`
 	// WALRecords is the journal tail replayed on top of the base
 	// checkpoint — the part of recovery that scales with dirtiness.
-	WALRecords int     `json:"wal_records"`
-	RecoverMS  float64 `json:"recover_ms"`
+	WALRecords int    `json:"wal_records"`
+	RecoverMS  spread `json:"recover_ms"`
 }
 
 type report struct {
@@ -91,55 +115,92 @@ type report struct {
 	GoVersion  string `json:"go_version"`
 	CPUs       int    `json:"cpus"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
-	// AlwaysOverNeverSlowdown is the acceptance headline: sustained
-	// durable throughput under -fsync always as a slowdown factor over
-	// -fsync never (target: ≤ ~2×).
+	Runs       int    `json:"runs"`
+	// AlwaysOverNeverSlowdown is the acceptance headline: the median
+	// sustained durable throughput under -fsync never over that under
+	// -fsync always, as a slowdown factor (target: ≤ ~2×).
 	AlwaysOverNeverSlowdown float64            `json:"always_over_never_slowdown"`
 	Throughput              []throughputResult `json:"throughput"`
 	Recovery                []recoveryResult   `json:"recovery"`
 }
 
 func run(out string, duration time.Duration, streams, workers, total int, dirtySpec string) error {
-	rep := report{
-		Tool:       "cmd/durabilitybench",
-		GoVersion:  runtime.Version(),
-		CPUs:       runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-
-	var never float64
-	for _, policy := range []store.FsyncPolicy{store.FsyncAlways, store.FsyncInterval, store.FsyncNever} {
-		res, err := runThroughput(policy, duration, streams, workers)
-		if err != nil {
-			return fmt.Errorf("throughput %s: %w", policy, err)
-		}
-		rep.Throughput = append(rep.Throughput, res)
-		if policy == store.FsyncNever {
-			never = res.RoundsPerSec
-		}
-		fmt.Printf("throughput  fsync=%-8s  %9.0f rounds/s  p50 %6.1fµs  p99 %6.1fµs  (%d commits, %.1f records/commit)\n",
-			res.Fsync, res.RoundsPerSec, res.P50Micros, res.P99Micros, res.Commits, res.RecordsPerCommit)
-	}
-	if never > 0 {
-		rep.AlwaysOverNeverSlowdown = round3(never / rep.Throughput[0].RoundsPerSec)
-		fmt.Printf("fsync=always slowdown over fsync=never: %.2fx\n", rep.AlwaysOverNeverSlowdown)
-	}
-
+	var dirties []int
 	for _, field := range strings.Split(dirtySpec, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(field))
 		if err != nil {
 			return fmt.Errorf("bad -dirty entry %q: %w", field, err)
 		}
-		if n > total {
-			n = total
+		dirties = append(dirties, min(n, total))
+	}
+	rep := report{
+		Tool:       "cmd/durabilitybench",
+		GoVersion:  runtime.Version(),
+		CPUs:       runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Runs:       runs,
+	}
+
+	policies := []store.FsyncPolicy{store.FsyncAlways, store.FsyncInterval, store.FsyncNever}
+	rates := make([][]float64, len(policies))
+	perCommit := make([][]float64, len(policies))
+	lats := make([]*histo.Histogram, len(policies))
+	for k := range lats {
+		lats[k] = histo.New()
+	}
+	for r := 1; r <= runs; r++ {
+		for k, policy := range policies {
+			rate, rpc, err := runThroughput(policy, duration, streams, workers, lats[k])
+			if err != nil {
+				return fmt.Errorf("throughput %s: %w", policy, err)
+			}
+			rates[k], perCommit[k] = append(rates[k], rate), append(perCommit[k], rpc)
+			fmt.Printf("run %d  throughput  fsync=%-8s  %9.0f rounds/s  (%.1f records/commit)\n", r, policy, rate, rpc)
 		}
-		res, err := runRecovery(total, n)
-		if err != nil {
-			return fmt.Errorf("recovery dirty=%d: %w", n, err)
+	}
+	for k, policy := range policies {
+		sum := lats[k].Summarize(1e3)
+		t := throughputResult{
+			Fsync:            string(policy),
+			Streams:          streams,
+			Workers:          workers,
+			DurationSec:      duration.Seconds(),
+			RoundsPerSec:     spreadOf(rates[k]),
+			P50Micros:        sum.P50,
+			P99Micros:        sum.P99,
+			RecordsPerCommit: spreadOf(perCommit[k]),
 		}
-		rep.Recovery = append(rep.Recovery, res)
-		fmt.Printf("recovery    total=%d dirty=%-5d  %7.1f ms  (%d WAL records replayed)\n",
-			res.TotalStreams, res.DirtyStreams, res.RecoverMS, res.WALRecords)
+		rep.Throughput = append(rep.Throughput, t)
+		fmt.Printf("throughput  fsync=%-8s  median %9.0f rounds/s [q1 %.0f, q3 %.0f]  p50 %6.1fµs  p99 %6.1fµs  %.1f records/commit\n",
+			t.Fsync, t.RoundsPerSec.Median, t.RoundsPerSec.Q1, t.RoundsPerSec.Q3, t.P50Micros, t.P99Micros, t.RecordsPerCommit.Median)
+	}
+	if always := rep.Throughput[0].RoundsPerSec.Median; always > 0 {
+		rep.AlwaysOverNeverSlowdown = round3(rep.Throughput[2].RoundsPerSec.Median / always)
+		fmt.Printf("fsync=always slowdown over fsync=never: %.2fx\n", rep.AlwaysOverNeverSlowdown)
+	}
+
+	recoverMS := make([][]float64, len(dirties))
+	walRecords := make([]int, len(dirties))
+	for r := 1; r <= runs; r++ {
+		for k, dirty := range dirties {
+			records, ms, err := runRecovery(total, dirty)
+			if err != nil {
+				return fmt.Errorf("recovery dirty=%d: %w", dirty, err)
+			}
+			walRecords[k], recoverMS[k] = records, append(recoverMS[k], ms)
+			fmt.Printf("run %d  recovery    total=%d dirty=%-5d  %7.1f ms  (%d WAL records replayed)\n", r, total, dirty, ms, records)
+		}
+	}
+	for k, dirty := range dirties {
+		rec := recoveryResult{
+			TotalStreams: total,
+			DirtyStreams: dirty,
+			WALRecords:   walRecords[k],
+			RecoverMS:    spreadOf(recoverMS[k]),
+		}
+		rep.Recovery = append(rep.Recovery, rec)
+		fmt.Printf("recovery    total=%d dirty=%-5d  median %7.1f ms [q1 %.1f, q3 %.1f]\n",
+			total, dirty, rec.RecoverMS.Median, rec.RecoverMS.Q1, rec.RecoverMS.Q3)
 	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")
@@ -156,23 +217,25 @@ func run(out string, duration time.Duration, streams, workers, total int, dirtyS
 
 // runThroughput drives concurrent pricing rounds against a persistent
 // registry for one measured window while a checkpointer loop keeps the
-// journal under sustained append load.
-func runThroughput(policy store.FsyncPolicy, duration time.Duration, streams, workers int) (throughputResult, error) {
+// journal under sustained append load. It records each round's latency
+// into lats and returns the rounds per second and the records each
+// commit carried.
+func runThroughput(policy store.FsyncPolicy, duration time.Duration, streams, workers int, lats *histo.Histogram) (roundsPerSec, recordsPerCommit float64, err error) {
 	dir, err := os.MkdirTemp("", "durabilitybench-*")
 	if err != nil {
-		return throughputResult{}, err
+		return 0, 0, err
 	}
 	defer os.RemoveAll(dir)
 
 	st, err := store.OpenJournal(store.JournalConfig{Dir: dir, Fsync: policy})
 	if err != nil {
-		return throughputResult{}, err
+		return 0, 0, err
 	}
 	reg := server.NewRegistry(0)
 	p, _, err := server.AttachPersistence(reg, st, server.PersistConfig{Interval: -1})
 	if err != nil {
 		st.Close()
-		return throughputResult{}, err
+		return 0, 0, err
 	}
 	ids := make([]string, streams)
 	for i := range ids {
@@ -180,14 +243,13 @@ func runThroughput(policy store.FsyncPolicy, duration time.Duration, streams, wo
 		if _, err := reg.Create(server.CreateStreamRequest{
 			ID: ids[i], Family: "linear", Dim: 4, Reserve: true, Horizon: 10_000_000,
 		}); err != nil {
-			return throughputResult{}, err
+			return 0, 0, err
 		}
 	}
 
 	base := st.Stats()
 	var (
 		rounds int64
-		lats   = histo.New()
 		wg     sync.WaitGroup
 		stop   = make(chan struct{})
 		ckpt   = make(chan struct{})
@@ -234,74 +296,61 @@ func runThroughput(policy store.FsyncPolicy, duration time.Duration, streams, wo
 	elapsed := time.Since(start)
 	close(stop)
 	<-ckpt
-	stats := st.Stats()
+	after := st.Stats()
 	if err := p.Shutdown(); err != nil {
-		return throughputResult{}, err
+		return 0, 0, err
 	}
-
-	sum := lats.Summarize(1e3)
-	res := throughputResult{
-		Fsync:         string(policy),
-		Streams:       streams,
-		Workers:       workers,
-		DurationSec:   round3(elapsed.Seconds()),
-		Rounds:        rounds,
-		RoundsPerSec:  round3(float64(rounds) / elapsed.Seconds()),
-		P50Micros:     sum.P50,
-		P99Micros:     sum.P99,
-		Commits:       stats.Commits - base.Commits,
-		CommitRecords: stats.CommitRecords - base.CommitRecords,
+	if commits := after.Commits - base.Commits; commits > 0 {
+		recordsPerCommit = float64(after.CommitRecords-base.CommitRecords) / float64(commits)
 	}
-	if res.Commits > 0 {
-		res.RecordsPerCommit = round3(float64(res.CommitRecords) / float64(res.Commits))
-	}
-	return res, nil
+	return float64(rounds) / elapsed.Seconds(), recordsPerCommit, nil
 }
 
 // runRecovery builds a journal whose base checkpoint holds `total`
 // streams and whose WAL tail holds `dirty` delta records, crashes it
-// without a final checkpoint, and times the reopen+replay.
-func runRecovery(total, dirty int) (recoveryResult, error) {
+// without a final checkpoint, and times the reopen+replay. It returns the
+// WAL records replayed and the recovery time in milliseconds.
+func runRecovery(total, dirty int) (walRecords int, recoverMS float64, err error) {
 	dir, err := os.MkdirTemp("", "durabilitybench-*")
 	if err != nil {
-		return recoveryResult{}, err
+		return 0, 0, err
 	}
 	defer os.RemoveAll(dir)
 
 	st, err := store.OpenJournal(store.JournalConfig{Dir: dir, Fsync: store.FsyncNever})
 	if err != nil {
-		return recoveryResult{}, err
+		return 0, 0, err
 	}
 	reg := server.NewRegistry(0)
 	p, _, err := server.AttachPersistence(reg, st, server.PersistConfig{Interval: -1})
 	if err != nil {
 		st.Close()
-		return recoveryResult{}, err
+		return 0, 0, err
 	}
 	for i := 0; i < total; i++ {
 		if _, err := reg.Create(server.CreateStreamRequest{
 			ID: fmt.Sprintf("s%05d", i), Family: "linear", Dim: 4, Reserve: true, Horizon: 100000,
 		}); err != nil {
-			return recoveryResult{}, err
+			return 0, 0, err
 		}
 	}
 	// Fold every create into the base checkpoint, then dirty a subset so
 	// exactly their deltas form the WAL tail recovery must replay.
 	if err := p.Compact(); err != nil {
-		return recoveryResult{}, err
+		return 0, 0, err
 	}
 	rng := rand.New(rand.NewSource(42))
 	x := make(linalg.Vector, 4)
 	for i := 0; i < dirty; i++ {
 		s, err := reg.Get(fmt.Sprintf("s%05d", i))
 		if err != nil {
-			return recoveryResult{}, err
+			return 0, 0, err
 		}
 		for j := range x {
 			x[j] = rng.Float64()
 		}
 		if _, _, err := s.Price(x, 0.1, 1.5); err != nil {
-			return recoveryResult{}, err
+			return 0, 0, err
 		}
 	}
 	p.Checkpoint()
@@ -309,34 +358,29 @@ func runRecovery(total, dirty int) (recoveryResult, error) {
 	// checkpoint or compaction.
 	p.Stop()
 	if err := st.Close(); err != nil {
-		return recoveryResult{}, err
+		return 0, 0, err
 	}
 
 	start := time.Now()
 	st2, err := store.OpenJournal(store.JournalConfig{Dir: dir, Fsync: store.FsyncNever})
 	if err != nil {
-		return recoveryResult{}, err
+		return 0, 0, err
 	}
 	reg2 := server.NewRegistry(0)
 	p2 := server.NewPersister(reg2, st2, server.PersistConfig{Interval: -1})
 	recovered, err := p2.Recover()
 	elapsed := time.Since(start)
 	if err != nil {
-		return recoveryResult{}, err
+		return 0, 0, err
 	}
 	if recovered != total {
-		return recoveryResult{}, fmt.Errorf("recovered %d streams, want %d", recovered, total)
+		return 0, 0, fmt.Errorf("recovered %d streams, want %d", recovered, total)
 	}
-	stats := st2.Stats()
+	walRecords = st2.Stats().JournalRecords
 	if err := st2.Close(); err != nil {
-		return recoveryResult{}, err
+		return 0, 0, err
 	}
-	return recoveryResult{
-		TotalStreams: total,
-		DirtyStreams: dirty,
-		WALRecords:   stats.JournalRecords,
-		RecoverMS:    round3(float64(elapsed) / float64(time.Millisecond)),
-	}, nil
+	return walRecords, float64(elapsed) / float64(time.Millisecond), nil
 }
 
 func round3(v float64) float64 {

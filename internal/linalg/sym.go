@@ -8,7 +8,8 @@ import "fmt"
 // touches n(n+1)/2 entries instead of n². Each kernel forms every value
 // with the expression and summation order of the full-matrix computation
 // named on it, so on an exactly symmetric matrix the two agree bit for
-// bit.
+// bit. On amd64 with AVX, RankOneScale runs an assembly kernel whose
+// results are bit-identical to its Go loop's.
 type Sym struct {
 	n    int
 	data []float64 // row-major n×n; the strictly-lower half is unused
@@ -116,18 +117,27 @@ func (s *Sym) MulVecTo(dst, v Vector) Vector {
 
 // RankOneScale overwrites s with c·(s + a·b bᵀ) in one row-major pass
 // over the upper triangle, without allocating. Each entry is formed as
-// c·(sᵢⱼ + a·(bᵢ·bⱼ)), as a pass over all n² entries would form it.
+// c·(sᵢⱼ + a·(bᵢ·bⱼ)), as a pass over all n² entries would form it. On
+// amd64 with AVX the pass runs in an assembly kernel, four entries at a
+// time, that rounds every entry as rankOneScaleGo does.
 func (s *Sym) RankOneScale(a float64, b Vector, c float64) *Sym {
-	n := s.n
-	if len(b) != n {
-		panic(fmt.Sprintf("linalg: RankOneScale length %d, want %d", len(b), n))
+	if len(b) != s.n { // also guards the assembly kernel, which checks no bounds
+		panic(fmt.Sprintf("linalg: RankOneScale length %d, want %d", len(b), s.n))
 	}
+	rankOneScale(s.data, b, a, c)
+	return s
+}
+
+// rankOneScaleGo is RankOneScale's pass in Go: the portable path, and the
+// reference the assembly kernel must match. data is the row-major n×n
+// storage of a Sym with n = len(b).
+func rankOneScaleGo(data []float64, b Vector, a, c float64) {
+	n := len(b)
 	for i, bi := range b {
 		bt := b[i:]
-		row := s.data[i*n+i : (i+1)*n][:len(bt)] // lets the compiler drop row[j]'s bounds check
+		row := data[i*n+i : (i+1)*n][:len(bt)] // lets the compiler drop row[j]'s bounds check
 		for j, bj := range bt {
 			row[j] = c * (row[j] + a*(bi*bj))
 		}
 	}
-	return s
 }

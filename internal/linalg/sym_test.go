@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -94,6 +95,34 @@ func TestSymMulVecToMatchesMulVecT(t *testing.T) {
 	}
 }
 
+// wideVector draws a vector whose entries mix ±0, subnormals, unit
+// normals and magnitudes from about 1e-150 to 1e150.
+func wideVector(rng *rand.Rand, n int) Vector {
+	v := NewVector(n)
+	for i := range v {
+		sign := float64(1 - 2*rng.Intn(2))
+		switch rng.Intn(8) {
+		case 0:
+			v[i] = math.Copysign(0, sign)
+		case 1:
+			v[i] = sign * math.Float64frombits(rng.Uint64()>>12|1) // subnormal
+		case 2:
+			v[i] = rng.NormFloat64() * math.Pow(10, 300*rng.Float64()-150)
+		default:
+			v[i] = rng.NormFloat64()
+		}
+	}
+	return v
+}
+
+// TestSymRankOneScale requires every entry of the update, in both
+// triangles, to be scale·(aᵢⱼ + coef·(bᵢ·bⱼ)) bit for bit, the value the
+// Go expression gives, and the strictly-lower storage to keep its bits.
+// It runs 20 successive updates at sizes that end a row on every tail
+// length of the four-lane AVX kernel, for the dispatched RankOneScale (the
+// kernel, on amd64 with AVX) and for the Go loop. (The NaN poison of
+// TestSymIgnoresLowerTriangle cannot show a write below the diagonal that
+// is computed from the NaN already there.)
 func TestSymRankOneScale(t *testing.T) {
 	a := MatrixFromRows([][]float64{
 		{2.3, 0.1, -0.7, 0.3},
@@ -107,22 +136,54 @@ func TestSymRankOneScale(t *testing.T) {
 	if want := a.Clone().AddRankOne(coef, b, b).Scale(scale); !got.Equal(want, 1e-12) {
 		t.Fatalf("RankOneScale mismatch:\n%v\nvs\n%v", got, want)
 	}
-	// Every entry, in both triangles, is scale·(aᵢⱼ + coef·(bᵢ·bⱼ))
-	// exactly. Forming (coef·bᵢ)·bⱼ instead rounds some entry of the upper
-	// triangle differently on this data.
-	separated := false
-	for i := range b {
-		for j := range b {
-			if want := scale * (a.At(i, j) + coef*(b[i]*b[j])); !sameBits(got.At(i, j), want) {
-				t.Fatalf("entry (%d,%d) = %v, want %v", i, j, got.At(i, j), want)
-			}
-			if j >= i && (coef*b[i])*b[j] != coef*(b[i]*b[j]) {
-				separated = true
+
+	paths := []struct {
+		name   string
+		update func(s *Sym, a float64, b Vector, c float64)
+	}{
+		{"RankOneScale", func(s *Sym, a float64, b Vector, c float64) { s.RankOneScale(a, b, c) }},
+		{"Go loop", func(s *Sym, a float64, b Vector, c float64) { rankOneScaleGo(s.data, b, a, c) }},
+	}
+	coefs := []struct{ coef, scale float64 }{{-0.7, 1.1}, {0.3, 0.9}, {-2.0 / 3, 4.0 / 3}, {1e-3, 1}}
+	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 57, 128, 129}
+	// Forming (coef·bᵢ)·bⱼ, or fusing coef·(bᵢ·bⱼ) + aᵢⱼ into one FMA,
+	// rounds some entry differently on this data; the check below keeps
+	// the data able to tell.
+	reassociated, fused := false, false
+	for _, path := range paths {
+		for _, n := range sizes {
+			rng := rand.New(rand.NewSource(int64(29 + n)))
+			s := NewSym(randomSPD(rng, n))
+			for u := 0; u < 20; u++ {
+				coef, scale := coefs[u%len(coefs)].coef, coefs[u%len(coefs)].scale
+				b := wideVector(rng, n)
+				before, stored := s.Dense(), append([]float64(nil), s.data...)
+				path.update(s, coef, b, scale)
+				got := s.Dense()
+				for i := range b {
+					for j := range b {
+						if j < i && !sameBits(s.data[i*n+j], stored[i*n+j]) {
+							t.Fatalf("%s, n=%d, update %d: wrote %v below the diagonal at (%d,%d)",
+								path.name, n, u, s.data[i*n+j], i, j)
+						}
+						aij, bij := before.At(i, j), b[i]*b[j]
+						want := scale * (aij + coef*bij)
+						if !sameBits(got.At(i, j), want) {
+							t.Fatalf("%s, n=%d, update %d: entry (%d,%d) = %v, want %v",
+								path.name, n, u, i, j, got.At(i, j), want)
+						}
+						if math.IsInf(want, 0) || math.IsNaN(want) {
+							t.Fatalf("n=%d, update %d: entry (%d,%d) = %v; test data must stay finite", n, u, i, j, want)
+						}
+						reassociated = reassociated || (coef*b[i])*b[j] != coef*bij
+						fused = fused || math.FMA(coef, bij, aij) != aij+float64(coef*bij) // the conversion forbids fusing
+					}
+				}
 			}
 		}
 	}
-	if !separated {
-		t.Fatal("test data no longer separates the two roundings")
+	if !reassociated || !fused {
+		t.Fatalf("test data no longer separates the roundings: reassociated %v, fused %v", reassociated, fused)
 	}
 }
 
@@ -131,8 +192,13 @@ func TestSymRankOneScale(t *testing.T) {
 // clean copy's, and the update must leave that half as it found it: no
 // kernel reads or writes it.
 func TestSymIgnoresLowerTriangle(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	const n = 8
+	for _, n := range []int{1, 3, 4, 5, 8, 57} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) { testSymIgnoresLowerTriangle(t, n) })
+	}
+}
+
+func testSymIgnoresLowerTriangle(t *testing.T, n int) {
+	rng := rand.New(rand.NewSource(int64(23 + n)))
 	clean := NewSym(randomSPD(rng, n))
 	poisoned := clean.Clone()
 	for i := 1; i < n; i++ {
