@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test test-portable race vet lint fmt bench-smoke bench-durability loadgen-smoke perfbench-test ci
+.PHONY: build test test-portable fma-check race vet lint fmt bench-smoke bench-durability loadgen-smoke perfbench-test ci
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,22 @@ test:
 # rounds as amd64 does (~20s).
 test-portable:
 	GOARCH=386 $(GO) test -count=1 -run 'CutMatchesReference|RankOneScale|IgnoresLowerTriangle|ZeroAllocs' ./internal/linalg/ ./internal/ellipsoid/
+
+# fma-check fails if the arm64 code of linalg or ellipsoid holds a fused
+# multiply-add. The Go spec lets a compiler fuse x*y + z into one
+# instruction that skips the product's rounding; arm64's does, amd64's
+# never does. Both packages wrap every product that feeds an add or
+# subtract in float64(…), which forbids the fusion, so the knowledge set,
+# the OLS fit and the prices they give round on arm64 as on amd64. The
+# compiler's listing is replayed from the build cache, so the check also
+# works on a warm cache; it fails too if the listing is missing.
+fma-check:
+	@out=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/linalg/ ./internal/ellipsoid/ 2>&1) || { echo "$$out"; exit 1; }; \
+	for fn in 'linalg\.QR STEXT' 'ellipsoid\.(\*E)\.Cut STEXT'; do \
+		echo "$$out" | grep -q "$$fn" || { echo "fma-check: no arm64 listing for $$fn"; exit 1; }; \
+	done; \
+	fused=$$(echo "$$out" | grep -wE 'FMADDD|FMSUBD|FNMADDD|FNMSUBD'); \
+	test -z "$$fused" || { echo "fma-check: fused multiply-adds in the arm64 code:"; echo "$$fused"; exit 1; }
 
 race:
 	$(GO) test -race ./...
@@ -69,4 +85,4 @@ loadgen-smoke:
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-ci: fmt build vet test test-portable lint bench-smoke loadgen-smoke perfbench-test
+ci: fmt build vet test test-portable fma-check lint bench-smoke loadgen-smoke perfbench-test

@@ -13,7 +13,9 @@
 //   - size probes (volume, widths) used by the regret analysis and tests.
 //
 // The shape matrix is stored by its upper triangle (linalg.Sym), which is
-// all the first two operations read or write.
+// all the first two operations read or write. As in linalg, each product
+// that feeds an add or subtract is written float64(x*y), so no compiler
+// fuses it and every GOARCH updates the knowledge set alike.
 package ellipsoid
 
 import (
@@ -263,9 +265,9 @@ func (e *E) Cut(a linalg.Vector, beta float64) CutResult {
 
 	b.Scale(1 / probe)
 
-	tau := (1 + n*alpha) / (n + 1)
-	sigma := n * n * (1 - alpha*alpha) / (n*n - 1)
-	rho := 2 * (1 + n*alpha) / ((n + 1) * (1 + alpha))
+	tau := (1 + float64(n*alpha)) / (n + 1)
+	sigma := n * n * (1 - float64(alpha*alpha)) / (float64(n*n) - 1)
+	rho := 2 * (1 + float64(n*alpha)) / ((n + 1) * (1 + alpha))
 
 	e.c.AddScaled(-tau, b)
 	e.a.RankOneScale(-rho, b, sigma)
@@ -317,13 +319,13 @@ func (e *E) LogVolume() (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrDegenerate, err)
 	}
-	return logUnitBallVolume(e.n) + 0.5*f.LogDet(), nil
+	return logUnitBallVolume(e.n) + float64(0.5*f.LogDet()), nil
 }
 
 // logUnitBallVolume returns log Vₙ = (n/2)·log π − log Γ(n/2 + 1).
 func logUnitBallVolume(n int) float64 {
-	lg, _ := math.Lgamma(float64(n)/2 + 1)
-	return float64(n)/2*math.Log(math.Pi) - lg
+	lg, _ := math.Lgamma(float64(float64(n)/2) + 1) // n/2 compiles to a product, n·0.5
+	return float64(float64(n)/2*math.Log(math.Pi)) - lg
 }
 
 // UnitBallVolume returns Vₙ, exported for tests and diagnostics.

@@ -55,9 +55,9 @@ func (f *fullKnowledge) cut(a linalg.Vector, beta float64, threeSweep bool) CutR
 		return CutTooShallow
 	}
 	b.Scale(1 / probe)
-	tau := (1 + n*alpha) / (n + 1)
-	sigma := n * n * (1 - alpha*alpha) / (n*n - 1)
-	rho := 2 * (1 + n*alpha) / ((n + 1) * (1 + alpha))
+	tau := (1 + float64(n*alpha)) / (n + 1)
+	sigma := n * n * (1 - float64(alpha*alpha)) / (float64(n*n) - 1)
+	rho := 2 * (1 + float64(n*alpha)) / ((n + 1) * (1 + alpha))
 	f.c.AddScaled(-tau, b)
 	if threeSweep {
 		f.a.AddRankOne(-rho, b, b).Scale(sigma).Symmetrize()
@@ -67,7 +67,7 @@ func (f *fullKnowledge) cut(a linalg.Vector, beta float64, threeSweep bool) CutR
 	for i, bi := range b {
 		row := f.a.Row(i)
 		for j, bj := range b {
-			row[j] = sigma * (row[j] + coef*(bi*bj))
+			row[j] = sigma * (row[j] + float64(coef*(bi*bj)))
 		}
 	}
 	return CutApplied

@@ -22,7 +22,7 @@ func Cholesky(a *Matrix) (*CholeskyFactor, error) {
 		var d float64 = a.At(j, j)
 		lrowj := l.Row(j)
 		for k := 0; k < j; k++ {
-			d -= lrowj[k] * lrowj[k]
+			d -= float64(lrowj[k] * lrowj[k])
 		}
 		if d <= 0 || math.IsNaN(d) {
 			return nil, fmt.Errorf("linalg: matrix not positive definite at pivot %d (d=%g)", j, d)
@@ -34,7 +34,7 @@ func Cholesky(a *Matrix) (*CholeskyFactor, error) {
 			s := a.At(i, j)
 			lrowi := l.Row(i)
 			for k := 0; k < j; k++ {
-				s -= lrowi[k] * lrowj[k]
+				s -= float64(lrowi[k] * lrowj[k])
 			}
 			l.Set(i, j, s*inv)
 		}
@@ -54,7 +54,7 @@ func (c *CholeskyFactor) SolveVec(b Vector) Vector {
 		s := b[i]
 		row := c.L.Row(i)
 		for k := 0; k < i; k++ {
-			s -= row[k] * y[k]
+			s -= float64(row[k] * y[k])
 		}
 		y[i] = s / row[i]
 	}
@@ -63,7 +63,7 @@ func (c *CholeskyFactor) SolveVec(b Vector) Vector {
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for k := i + 1; k < n; k++ {
-			s -= c.L.At(k, i) * x[k]
+			s -= float64(c.L.At(k, i) * x[k])
 		}
 		x[i] = s / c.L.At(i, i)
 	}
@@ -83,7 +83,7 @@ func (c *CholeskyFactor) MulVec(v Vector) Vector {
 		row := c.L.Row(i)
 		var s float64
 		for k := 0; k <= i; k++ {
-			s += row[k] * v[k]
+			s += float64(row[k] * v[k])
 		}
 		out[i] = s
 	}

@@ -121,7 +121,7 @@ func (m *Matrix) MulVec(v Vector) Vector {
 		row := m.Row(i)
 		var s float64
 		for j, x := range row {
-			s += x * v[j]
+			s += float64(x * v[j])
 		}
 		out[i] = s
 	}
@@ -141,7 +141,7 @@ func (m *Matrix) MulVecT(v Vector) Vector {
 			continue
 		}
 		for j, x := range row {
-			out[j] += x * vi
+			out[j] += float64(x * vi)
 		}
 	}
 	return out
@@ -162,7 +162,7 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 			}
 			brow := b.Row(k)
 			for j, bkj := range brow {
-				orow[j] += aik * bkj
+				orow[j] += float64(aik * bkj)
 			}
 		}
 	}
@@ -175,7 +175,7 @@ func (m *Matrix) AddScaled(a float64, b *Matrix) *Matrix {
 		panic("linalg: AddScaled shape mismatch")
 	}
 	for i := range m.data {
-		m.data[i] += a * b.data[i]
+		m.data[i] += float64(a * b.data[i])
 	}
 	return m
 }
@@ -200,7 +200,7 @@ func (m *Matrix) AddRankOne(a float64, v, w Vector) *Matrix {
 		row := m.Row(i)
 		avi := a * vi
 		for j, wj := range w {
-			row[j] += avi * wj
+			row[j] += float64(avi * wj)
 		}
 	}
 	return m
@@ -276,9 +276,9 @@ func (m *Matrix) QuadForm(x Vector) float64 {
 			if xj == 0 {
 				continue
 			}
-			ri += row[j] * xj
+			ri += float64(row[j] * xj)
 		}
-		s += xi * ri
+		s += float64(xi * ri)
 	}
 	return s
 }

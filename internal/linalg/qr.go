@@ -14,6 +14,14 @@ type QRFactor struct {
 }
 
 // QR computes the Householder QR factorization of a (m ≥ n required).
+//
+// Each reflector v (column k of the packed factor, rows k…m−1) is applied
+// to columns k+1…n−1 as w = Aᵀv followed by the rank-one update
+// A += v·(−w/vₖ)ᵀ, the LAPACK xLARF scheme, in two sweeps over rows
+// k…m−1 that read and write the row-major storage contiguously. Each wⱼ
+// sums vᵢ·aᵢⱼ over ascending i, and column j's sum reads only columns k
+// and j, which no other column's update writes, so the result equals
+// that of applying the reflector one column at a time bit for bit.
 func QR(a *Matrix) (*QRFactor, error) {
 	m, n := a.Rows(), a.Cols()
 	if m < n {
@@ -21,6 +29,7 @@ func QR(a *Matrix) (*QRFactor, error) {
 	}
 	qr := a.Clone()
 	rdiag := make(Vector, n)
+	w := make(Vector, n)
 	for k := 0; k < n; k++ {
 		// Norm of column k below row k.
 		var nrm float64
@@ -38,15 +47,28 @@ func QR(a *Matrix) (*QRFactor, error) {
 			qr.Set(i, k, qr.At(i, k)/nrm)
 		}
 		qr.Set(k, k, qr.At(k, k)+1)
-		// Apply reflector to remaining columns.
-		for j := k + 1; j < n; j++ {
-			var s float64
-			for i := k; i < m; i++ {
-				s += qr.At(i, k) * qr.At(i, j)
+		// Apply the reflector to the remaining columns: wⱼ = Σᵢ vᵢ·aᵢⱼ,
+		// then aᵢⱼ += (−wⱼ/vₖ)·vᵢ, each sweep one row at a time.
+		wk := w[k+1:]
+		clear(wk)
+		for i := k; i < m; i++ {
+			row := qr.data[i*n : (i+1)*n]
+			vi, rest := row[k], row[k+1:]
+			wk := wk[:len(rest)] // lets the compiler drop wk[j]'s bounds check
+			for j, x := range rest {
+				wk[j] += float64(vi * x)
 			}
-			s = -s / qr.At(k, k)
-			for i := k; i < m; i++ {
-				qr.Set(i, j, qr.At(i, j)+s*qr.At(i, k))
+		}
+		vk := qr.data[k*n+k]
+		for j := range wk {
+			wk[j] = -wk[j] / vk
+		}
+		for i := k; i < m; i++ {
+			row := qr.data[i*n : (i+1)*n]
+			vi, rest := row[k], row[k+1:]
+			wk := wk[:len(rest)]
+			for j := range rest {
+				rest[j] += float64(wk[j] * vi)
 			}
 		}
 		rdiag[k] = -nrm
@@ -82,11 +104,11 @@ func (f *QRFactor) Solve(b Vector) (Vector, error) {
 		}
 		var s float64
 		for i := k; i < m; i++ {
-			s += f.qr.At(i, k) * y[i]
+			s += float64(f.qr.At(i, k) * y[i])
 		}
 		s = -s / f.qr.At(k, k)
 		for i := k; i < m; i++ {
-			y[i] += s * f.qr.At(i, k)
+			y[i] += float64(s * f.qr.At(i, k))
 		}
 	}
 	// Back substitution with R.
@@ -94,7 +116,7 @@ func (f *QRFactor) Solve(b Vector) (Vector, error) {
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for j := i + 1; j < n; j++ {
-			s -= f.qr.At(i, j) * x[j]
+			s -= float64(f.qr.At(i, j) * x[j])
 		}
 		x[i] = s / f.rdiag[i]
 	}

@@ -78,13 +78,13 @@ func (s *Sym) QuadForm(x Vector, nz []int) float64 {
 	for p, i := range nz {
 		var ri float64
 		for _, j := range nz[:p] { // j < i: s[j,i] sits in column i
-			ri += s.data[j*n+i] * x[j]
+			ri += float64(s.data[j*n+i] * x[j])
 		}
 		row := s.data[i*n : (i+1)*n]
 		for _, j := range nz[p:] {
-			ri += row[j] * x[j]
+			ri += float64(row[j] * x[j])
 		}
-		sum += x[i] * ri
+		sum += float64(x[i] * ri)
 	}
 	return sum
 }
@@ -104,12 +104,12 @@ func (s *Sym) MulVecTo(dst, v Vector) Vector {
 			continue
 		}
 		for j := 0; j < i; j++ { // s[i,j] for j < i sits in column i
-			dst[j] += s.data[j*n+i] * vi
+			dst[j] += float64(s.data[j*n+i] * vi)
 		}
 		row := s.data[i*n+i : (i+1)*n]
 		d := dst[i:][:len(row)]
 		for j, x := range row {
-			d[j] += x * vi
+			d[j] += float64(x * vi)
 		}
 	}
 	return dst
@@ -137,7 +137,7 @@ func rankOneScaleGo(data []float64, b Vector, a, c float64) {
 		bt := b[i:]
 		row := data[i*n+i : (i+1)*n][:len(bt)] // lets the compiler drop row[j]'s bounds check
 		for j, bj := range bt {
-			row[j] = c * (row[j] + a*(bi*bj))
+			row[j] = c * (row[j] + float64(a*(bi*bj)))
 		}
 	}
 }

@@ -167,7 +167,7 @@ func TestSymRankOneScale(t *testing.T) {
 								path.name, n, u, s.data[i*n+j], i, j)
 						}
 						aij, bij := before.At(i, j), b[i]*b[j]
-						want := scale * (aij + coef*bij)
+						want := scale * (aij + float64(coef*bij))
 						if !sameBits(got.At(i, j), want) {
 							t.Fatalf("%s, n=%d, update %d: entry (%d,%d) = %v, want %v",
 								path.name, n, u, i, j, got.At(i, j), want)

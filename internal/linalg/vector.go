@@ -5,6 +5,12 @@
 // It is deliberately small, allocation-conscious, and
 // stdlib-only; the ellipsoid pricing mechanism needs nothing more than
 // matrix-vector products, rank-one updates, and occasional factorizations.
+//
+// Every product that feeds an add or subtract is written float64(x*y).
+// The Go spec lets a compiler fuse x*y + z into one multiply-add that
+// skips the product's rounding, and arm64's compiler does; the explicit
+// conversion forbids it, so every GOARCH rounds as amd64 does. `make
+// fma-check` fails if the arm64 build fuses anything here.
 package linalg
 
 import (
@@ -46,7 +52,7 @@ func (v Vector) Dot(w Vector) float64 {
 	}
 	var s float64
 	for i, x := range v {
-		s += x * w[i]
+		s += float64(x * w[i])
 	}
 	return s
 }
@@ -62,11 +68,11 @@ func (v Vector) Norm2() float64 {
 		a := math.Abs(x)
 		if scale < a {
 			r := scale / a
-			ssq = 1 + ssq*r*r
+			ssq = 1 + float64(ssq*r*r)
 			scale = a
 		} else {
 			r := a / scale
-			ssq += r * r
+			ssq += float64(r * r)
 		}
 	}
 	return scale * math.Sqrt(ssq)
@@ -124,7 +130,7 @@ func (v Vector) AddScaled(a float64, w Vector) Vector {
 		panic(fmt.Sprintf("linalg: AddScaled length mismatch %d vs %d", len(v), len(w)))
 	}
 	for i := range v {
-		v[i] += a * w[i]
+		v[i] += float64(a * w[i])
 	}
 	return v
 }
