@@ -24,16 +24,18 @@ test:
 test-portable:
 	GOARCH=386 $(GO) test -count=1 -run 'CutMatchesReference|RankOneScale|IgnoresLowerTriangle|ZeroAllocs' ./internal/linalg/ ./internal/ellipsoid/
 
-# fma-check fails if the arm64 code of linalg or ellipsoid holds a fused
-# multiply-add. The Go spec lets a compiler fuse x*y + z into one
-# instruction that skips the product's rounding; arm64's does, amd64's
-# never does. Both packages wrap every product that feeds an add or
-# subtract in float64(…), which forbids the fusion, so the knowledge set,
-# the OLS fit and the prices they give round on arm64 as on amd64. The
-# compiler's listing is replayed from the build cache, so the check also
-# works on a warm cache; it fails too if the listing is missing.
+# fma-check fails if the arm64 code of any package under internal/ or
+# api/ holds a fused multiply-add. The Go spec lets a compiler fuse
+# x*y + z into one instruction that skips the product's rounding; arm64's
+# does, amd64's never does. Those packages wrap every product that feeds
+# an add or subtract in float64(…), which forbids the fusion, so the
+# knowledge set, the OLS fit, the prices, compensations, regret
+# bookkeeping and random draws round on arm64 as on amd64. cmd/ and
+# examples/ are not checked. The compiler's listing is replayed from the
+# build cache, so the check also works on a warm cache; it fails too if
+# the listing of QR or Cut is missing.
 fma-check:
-	@out=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/linalg/ ./internal/ellipsoid/ 2>&1) || { echo "$$out"; exit 1; }; \
+	@out=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/... ./api/... 2>&1) || { echo "$$out"; exit 1; }; \
 	for fn in 'linalg\.QR STEXT' 'ellipsoid\.(\*E)\.Cut STEXT'; do \
 		echo "$$out" | grep -q "$$fn" || { echo "fma-check: no arm64 listing for $$fn"; exit 1; }; \
 	done; \

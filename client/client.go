@@ -47,6 +47,9 @@ const (
 	DefaultBackoffMax  = 2 * time.Second
 )
 
+// userAgent is the User-Agent header of every request.
+const userAgent = "datamarket-client/" + api.APIVersion
+
 // ErrIncompatibleAPI reports that the server speaks a different wire
 // contract version than this SDK. Every call fails with it until the
 // server (or the SDK) is upgraded.
@@ -92,8 +95,6 @@ type Client struct {
 	retries   int
 	backoff   time.Duration
 	backoffUp time.Duration
-	userAgent string
-	skipCheck bool
 
 	// useBinary is set by WithBinary; binarySeen latches once any
 	// response carried the X-Binary-Protocol capability header naming
@@ -134,13 +135,6 @@ func WithBackoff(base, max time.Duration) Option {
 	return func(c *Client) { c.backoff, c.backoffUp = base, max }
 }
 
-// WithUserAgent overrides the User-Agent header.
-func WithUserAgent(ua string) Option { return func(c *Client) { c.userAgent = ua } }
-
-// WithoutVersionCheck disables the automatic compatibility probe before
-// the first request (useful against servers that predate /v1/version).
-func WithoutVersionCheck() Option { return func(c *Client) { c.skipCheck = true } }
-
 // New builds a client for the server at baseURL (scheme + host, e.g.
 // "http://localhost:8080").
 func New(baseURL string, opts ...Option) (*Client, error) {
@@ -156,7 +150,6 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 		retries:   DefaultRetries,
 		backoff:   DefaultBackoffBase,
 		backoffUp: DefaultBackoffMax,
-		userAgent: "datamarket-client/" + api.APIVersion,
 		pending:   make(map[string]*QuoteSession),
 	}
 	for _, opt := range opts {
@@ -180,13 +173,8 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 // ServerVersion returns the server build reported by the compatibility
 // probe, running the probe now if it has not happened yet.
 func (c *Client) ServerVersion(ctx context.Context) (api.VersionResponse, error) {
-	if err := c.ensureCompatible(ctx); err != nil && !c.skipCheck {
+	if err := c.ensureCompatible(ctx); err != nil {
 		return api.VersionResponse{}, err
-	}
-	if c.skipCheck {
-		var resp api.VersionResponse
-		err := c.roundTrip(ctx, http.MethodGet, "/v1/version", nil, &resp, true)
-		return resp, err
 	}
 	c.verMu.Lock()
 	defer c.verMu.Unlock()
@@ -205,9 +193,6 @@ func (c *Client) Health(ctx context.Context) (api.HealthResponse, error) {
 // SDK's api.APIVersion. A mismatch is latched — every subsequent call
 // fails fast with ErrIncompatibleAPI; transient probe failures are not.
 func (c *Client) ensureCompatible(ctx context.Context) error {
-	if c.skipCheck {
-		return nil
-	}
 	c.verMu.Lock()
 	defer c.verMu.Unlock()
 	if c.verDone {
@@ -341,7 +326,7 @@ func (c *Client) send(ctx context.Context, method, path string, body []byte, con
 	if contentType == binary.ContentType {
 		req.Header.Set("Accept", binary.ContentType)
 	}
-	req.Header.Set("User-Agent", c.userAgent)
+	req.Header.Set("User-Agent", userAgent)
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return fmt.Errorf("client: %s %s: %w", method, path, err)

@@ -233,22 +233,6 @@ func TestVersionCheck(t *testing.T) {
 			t.Fatalf("%d API calls escaped to an incompatible server", n)
 		}
 	})
-
-	t.Run("disabled", func(t *testing.T) {
-		versionCalls.Store(0)
-		ts := httptest.NewServer(mismatched("v999"))
-		defer ts.Close()
-		c, err := New(ts.URL, WithoutVersionCheck())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Health(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if n := versionCalls.Load(); n != 0 {
-			t.Fatalf("version probed %d times with the check disabled", n)
-		}
-	})
 }
 
 // TestAPIErrorMapping pins the typed error surface: status, stable wire

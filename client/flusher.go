@@ -10,11 +10,12 @@ import (
 	"datamarket/api"
 )
 
-// Flusher defaults.
-const (
-	DefaultFlusherMaxBatch = 256
-	DefaultFlushTimeout    = 30 * time.Second
-)
+// DefaultFlusherMaxBatch is FlusherConfig.MaxBatch's default.
+const DefaultFlusherMaxBatch = 256
+
+// flushTimeout bounds one flush's HTTP exchange. A batch aggregates many
+// callers, so it cannot ride any single caller's context.
+const flushTimeout = 30 * time.Second
 
 // ErrFlusherClosed: Price was called after Close.
 var ErrFlusherClosed = errors.New("client: flusher is closed")
@@ -26,10 +27,6 @@ type FlusherConfig struct {
 	// clamped to it — the server rejects larger batches whole, which
 	// would fail every coalesced caller at once.
 	MaxBatch int
-	// FlushTimeout bounds one flush's HTTP exchange (default 30s). A
-	// batch aggregates many callers, so it cannot ride any single
-	// caller's context.
-	FlushTimeout time.Duration
 }
 
 // Flusher coalesces concurrent Price calls into multi-stream batch
@@ -76,9 +73,6 @@ func NewFlusher(c *Client, cfg FlusherConfig) *Flusher {
 	}
 	if cfg.MaxBatch > api.MaxBatchRounds {
 		cfg.MaxBatch = api.MaxBatchRounds
-	}
-	if cfg.FlushTimeout <= 0 {
-		cfg.FlushTimeout = DefaultFlushTimeout
 	}
 	return &Flusher{c: c, cfg: cfg}
 }
@@ -157,7 +151,7 @@ func (f *Flusher) send(batch []*flushCall) {
 // flush sends one batch and routes each result (or the batch-wide
 // error) to its caller.
 func (f *Flusher) flush(batch []*flushCall) {
-	ctx, cancel := context.WithTimeout(context.Background(), f.cfg.FlushTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), flushTimeout)
 	defer cancel()
 	rounds := make([]api.MultiBatchRound, len(batch))
 	for i, call := range batch {

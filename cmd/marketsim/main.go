@@ -64,7 +64,7 @@ func run(ownerCount, n, rounds int, seed uint64, verbose bool) error {
 		return err
 	}
 	broker, err := market.NewBroker(market.Config{
-		Owners: owners, Mechanism: pricing.NewSync(mech), FeatureDim: n, Seed: seed, KeepRecords: false,
+		Owners: owners, Mechanism: pricing.NewSync(mech), FeatureDim: n, Seed: seed,
 	})
 	if err != nil {
 		return err
@@ -111,15 +111,15 @@ func run(ownerCount, n, rounds int, seed uint64, verbose bool) error {
 		}
 	}
 
-	tr := broker.Tracker()
+	stats := broker.Stats()
 	fmt.Println("=== personal data market summary ===")
 	fmt.Printf("owners:              %d\n", broker.Owners())
 	fmt.Printf("feature dimension:   %d\n", broker.FeatureDim())
 	fmt.Printf("rounds:              %d (sold %d, skipped %d)\n", rounds, sold, skipped)
 	fmt.Printf("total revenue:       %.2f\n", broker.TotalRevenue())
 	fmt.Printf("total broker profit: %.2f\n", broker.TotalProfit())
-	fmt.Printf("cumulative regret:   %.2f\n", tr.CumulativeRegret())
-	fmt.Printf("regret ratio:        %.2f%%\n", 100*tr.RegretRatio())
+	fmt.Printf("cumulative regret:   %.2f\n", stats.CumulativeRegret)
+	fmt.Printf("regret ratio:        %.2f%%\n", 100*stats.RegretRatio)
 	c := mech.Counters()
 	fmt.Printf("mechanism counters:  exploratory %d, conservative %d, cuts %d\n",
 		c.Exploratory, c.Conservative, c.CutsApplied)

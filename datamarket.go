@@ -115,8 +115,11 @@ type BatchRound = pricing.BatchRound
 type BatchOutcome = pricing.BatchOutcome
 
 // SyncPoster makes a FamilyPoster safe for concurrent round-at-a-time
-// use, one round (PriceRound) or one batch (PriceBatch) at a time;
-// brokerd hosts one per stream, and a Broker prices through one.
+// use, one round (PriceRound) or one batch (PriceBatch) at a time, and
+// records each of those rounds' regret against the buyer's valuation
+// under the same lock; Books reads counters and regret together, and its
+// snapshot envelopes carry the regret. brokerd hosts one per stream, and
+// a Broker prices through one.
 type SyncPoster = pricing.SyncPoster
 
 // MechanismSnapshot is the durable state of a Mechanism, for crash
@@ -200,8 +203,10 @@ func KernelizedModel(m *LandmarkMap) Model { return pricing.KernelizedModel(m) }
 // NewBroker builds the end-to-end data market broker.
 func NewBroker(cfg BrokerConfig) (*Broker, error) { return market.NewBroker(cfg) }
 
-// NewTracker builds a regret tracker; keepRecords retains per-round rows.
-func NewTracker(keepRecords bool) *Tracker { return pricing.NewTracker(keepRecords) }
+// NewTracker builds an empty regret tracker. It keeps aggregates only;
+// to plot a curve, collect Record's return value or CumulativeRegret
+// after each round.
+func NewTracker() *Tracker { return pricing.NewTracker() }
 
 // NewSyncPoster wraps a FamilyPoster (a Mechanism, NonlinearMechanism
 // or SGDPoster) for concurrent use.

@@ -26,7 +26,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	theta.Normalize()
 	theta.Scale(math.Sqrt(2 * n))
-	tracker := datamarket.NewTracker(false)
+	tracker := datamarket.NewTracker()
 	for i := 0; i < T; i++ {
 		x := r.OnSphere(n)
 		for j := range x {

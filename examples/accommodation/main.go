@@ -82,8 +82,8 @@ func main() {
 	}
 	baseline := datamarket.NewRiskAverse()
 
-	trMech := datamarket.NewTracker(false)
-	trBase := datamarket.NewTracker(false)
+	trMech := datamarket.NewTracker()
+	trBase := datamarket.NewTracker()
 	for _, x := range rows {
 		logV := x.Dot(theta)
 		v := math.Exp(logV)

@@ -52,7 +52,7 @@ func main() {
 	}
 	logistic := datamarket.LogisticModel()
 
-	tracker := datamarket.NewTracker(false)
+	tracker := datamarket.NewTracker()
 	var sold int
 	for t := 1; t <= T; t++ {
 		_, xFull := stream.Next()

@@ -94,11 +94,11 @@ func main() {
 		}
 	}
 
-	tr := broker.Tracker()
+	stats := broker.Stats()
 	fmt.Printf("\nafter %d rounds:\n", T)
 	fmt.Printf("  revenue   %10.2f\n", broker.TotalRevenue())
 	fmt.Printf("  profit    %10.2f (never negative: the reserve covers compensation)\n", broker.TotalProfit())
-	fmt.Printf("  regret    %10.2f (ratio %.2f%%)\n", tr.CumulativeRegret(), 100*tr.RegretRatio())
+	fmt.Printf("  regret    %10.2f (ratio %.2f%%)\n", stats.CumulativeRegret, 100*stats.RegretRatio)
 	payout, err := broker.OwnerPayout(0)
 	if err != nil {
 		panic(err)

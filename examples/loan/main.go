@@ -35,7 +35,7 @@ func main() {
 	}
 	model := datamarket.LogLogModel()
 
-	tracker := datamarket.NewTracker(false)
+	tracker := datamarket.NewTracker()
 	var funded, declinedByBank int
 	for t := 1; t <= T; t++ {
 		// Application features, all positive (required by the log map):

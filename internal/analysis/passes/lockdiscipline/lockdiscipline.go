@@ -14,9 +14,8 @@
 //  2. Visit callbacks run under the shard read lock: calling back into
 //     the registry self-deadlocks, acquiring any other mutex inside
 //     the callback creates a lock-order edge that must be justified
-//     (the persister's documented shard → revMu order carries a
-//     //lint:ignore for exactly this reason), and blocking calls obey
-//     the same rule-1 exemption list.
+//     with a //lint:ignore, and blocking calls obey the same rule-1
+//     exemption list.
 //  3. The same rules apply to LifecycleObserver methods, which run
 //     under the shard write lock.
 //  4. Mutexes must not be copied: parameters, receivers, and results

@@ -223,7 +223,7 @@ func randomListing(r *randx.RNG) Listing {
 		CancellationPolicy: AirbnbCancellationPolicies[r.Intn(3)],
 		InstantBookable:    r.Float64() < 0.25,
 		Accommodates:       float64(1 + r.Intn(8)),
-		Bathrooms:          0.5 + 0.5*float64(r.Intn(5)),
+		Bathrooms:          0.5 + float64(0.5*float64(r.Intn(5))),
 		Bedrooms:           float64(r.Intn(5)),
 		Beds:               float64(1 + r.Intn(6)),
 		HostResponseRate:   clamp01(r.Uniform(0.5, 1.1)),

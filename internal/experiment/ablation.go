@@ -64,7 +64,7 @@ func RunLemma8(T int) (*Lemma8Result, error) {
 		lo2, hi2 := m.ValueBounds(e2)
 		widthAtSwitch = hi2 - lo2
 		before := m.Counters().Exploratory
-		tracker := pricing.NewTracker(false)
+		tracker := pricing.NewTracker()
 		for i := 0; i < T-half; i++ {
 			v := e2.Dot(theta)
 			q, err := m.PostPrice(e2, math.Inf(-1))
@@ -118,7 +118,7 @@ func RunTheorem3(horizons []int, seed uint64) ([]Theorem3Point, error) {
 		// Fixed scalar weight √2 as in the paper's 1-D discussion; the
 		// scalar feature is the (constant) normalized total compensation.
 		theta := math.Sqrt2
-		tracker := pricing.NewTracker(false)
+		tracker := pricing.NewTracker()
 		for t := 0; t < T; t++ {
 			x := 1.0
 			v := x * theta

@@ -155,7 +155,7 @@ func RunAccommodationApp(cfg AccommodationConfig) (*AccommodationResult, error) 
 		TestMSE:    mse,
 		FeatureDim: dim,
 	}
-	tracker := pricing.NewTracker(false)
+	tracker := pricing.NewTracker()
 	next := 0
 	for t := 1; t <= T; t++ {
 		x := rows[t-1]

@@ -112,7 +112,7 @@ func RunImpressionApp(cfg ImpressionConfig) (*ImpressionResult, error) {
 		eps = 0.05
 	}
 	nm, err := pricing.NewNonlinear(pricing.LogisticModel(), pricedDim,
-		priceTheta.Norm2()*1.5+1,
+		float64(priceTheta.Norm2()*1.5)+1,
 		pricing.WithThreshold(eps))
 	if err != nil {
 		return nil, err
@@ -130,7 +130,7 @@ func RunImpressionApp(cfg ImpressionConfig) (*ImpressionResult, error) {
 		NonzeroWeights: len(nz),
 		PricedDim:      pricedDim,
 	}
-	tracker := pricing.NewTracker(false)
+	tracker := pricing.NewTracker()
 	next := 0
 	logistic := pricing.LogisticModel()
 	for t := 1; t <= cfg.T; t++ {

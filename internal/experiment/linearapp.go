@@ -199,7 +199,7 @@ func RunLinearApp(cfg LinearAppConfig) (*Series, error) {
 		T:           cfg.T,
 		Checkpoints: cps,
 	}
-	tracker := pricing.NewTracker(false)
+	tracker := pricing.NewTracker()
 	next := 0
 	for t := 1; t <= cfg.T; t++ {
 		x, reserve, v, err := w.nextRound()

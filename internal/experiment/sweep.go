@@ -88,7 +88,7 @@ func UncertaintySweep(n, T, owners int, deltas []float64, seed uint64) ([]SweepP
 		if err != nil {
 			return nil, err
 		}
-		tr := pricing.NewTracker(false)
+		tr := pricing.NewTracker()
 		for t := 0; t < T; t++ {
 			x, reserve, v, err := w.nextRound()
 			if err != nil {
@@ -123,7 +123,7 @@ func SGDComparison(n, T, owners int, seed uint64) (sgdRatio, ellRatio float64, e
 		if err != nil {
 			return 0, err
 		}
-		tr := pricing.NewTracker(false)
+		tr := pricing.NewTracker()
 		for t := 0; t < T; t++ {
 			x, reserve, v, err := w.nextRound()
 			if err != nil {

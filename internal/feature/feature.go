@@ -276,7 +276,7 @@ func FitStandardizer(rows []linalg.Vector) (*Standardizer, error) {
 	for _, r := range rows {
 		for j, v := range r {
 			dv := v - mean[j]
-			scale[j] += dv * dv
+			scale[j] += float64(dv * dv)
 		}
 	}
 	for j := range scale {

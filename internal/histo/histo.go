@@ -180,7 +180,7 @@ func (h *Histogram) Summarize(scale float64) Summary {
 	if scale == 0 {
 		scale = 1
 	}
-	r := func(v float64) float64 { return float64(int64(v/scale*1000+0.5)) / 1000 }
+	r := func(v float64) float64 { return float64(int64(float64(v/scale*1000)+0.5)) / 1000 }
 	return Summary{
 		Count: h.Count(),
 		Mean:  r(h.Mean()),

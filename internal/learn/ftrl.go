@@ -70,7 +70,7 @@ func (f *FTRLProximal) weight(i int) float64 {
 	if zi < 0 {
 		sign = -1
 	}
-	return -(zi - sign*f.L1) / ((f.Beta+math.Sqrt(f.n[i]))/f.Alpha + f.L2)
+	return -(zi - float64(sign*f.L1)) / ((f.Beta+math.Sqrt(f.n[i]))/f.Alpha + f.L2)
 }
 
 // Predict returns the click probability sigmoid(w·x) for the current
@@ -85,7 +85,7 @@ func (f *FTRLProximal) Predict(x linalg.Vector) (float64, error) {
 		if xi == 0 {
 			continue
 		}
-		score += f.weight(i) * xi
+		score += float64(f.weight(i) * xi)
 	}
 	return sigmoid(score), nil
 }
@@ -106,7 +106,7 @@ func (f *FTRLProximal) Update(x linalg.Vector, y float64) (float64, error) {
 			continue
 		}
 		f.w[i] = f.weight(i)
-		score += f.w[i] * xi
+		score += float64(f.w[i] * xi)
 	}
 	p := sigmoid(score)
 	loss := LogLoss(p, y)
@@ -116,10 +116,10 @@ func (f *FTRLProximal) Update(x linalg.Vector, y float64) (float64, error) {
 		if xi == 0 {
 			continue
 		}
-		gi := g * xi
-		sigma := (math.Sqrt(f.n[i]+gi*gi) - math.Sqrt(f.n[i])) / f.Alpha
-		f.z[i] += gi - sigma*f.w[i]
-		f.n[i] += gi * gi
+		gi := float64(g * xi)
+		sigma := (math.Sqrt(f.n[i]+float64(gi*gi)) - math.Sqrt(f.n[i])) / f.Alpha
+		f.z[i] += gi - float64(sigma*f.w[i])
+		f.n[i] += float64(gi * gi)
 	}
 	f.samples++
 	f.lossSum += loss
@@ -199,7 +199,7 @@ func LogLoss(p, y float64) float64 {
 	if p > 1-eps {
 		p = 1 - eps
 	}
-	return -y*math.Log(p) - (1-y)*math.Log(1-p)
+	return float64(-y*math.Log(p)) - float64((1-y)*math.Log(1-p))
 }
 
 // Accuracy returns the fraction of examples whose thresholded prediction

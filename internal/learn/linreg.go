@@ -130,7 +130,7 @@ func (m *LinearRegression) MSE(rows []linalg.Vector, y linalg.Vector) (float64, 
 			return 0, err
 		}
 		d := p - y[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(rows)), nil
 }
@@ -149,7 +149,7 @@ func (m *LinearRegression) R2(rows []linalg.Vector, y linalg.Vector) (float64, e
 	var tss float64
 	for _, v := range y {
 		d := v - mean
-		tss += d * d
+		tss += float64(d * d)
 	}
 	if tss == 0 {
 		return 0, fmt.Errorf("learn: targets are constant, R² undefined")

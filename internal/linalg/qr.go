@@ -13,7 +13,12 @@ type QRFactor struct {
 	rdiag Vector  // diagonal of R
 }
 
-// QR computes the Householder QR factorization of a (m ≥ n required).
+// QR computes the Householder QR factorization of a (m ≥ n required),
+// leaving a unchanged.
+func QR(a *Matrix) (*QRFactor, error) { return qrInPlace(a.Clone()) }
+
+// qrInPlace is QR overwriting a with the packed factor, which the
+// returned QRFactor keeps.
 //
 // Each reflector v (column k of the packed factor, rows k…m−1) is applied
 // to columns k+1…n−1 as w = Aᵀv followed by the rank-one update
@@ -22,12 +27,11 @@ type QRFactor struct {
 // sums vᵢ·aᵢⱼ over ascending i, and column j's sum reads only columns k
 // and j, which no other column's update writes, so the result equals
 // that of applying the reflector one column at a time bit for bit.
-func QR(a *Matrix) (*QRFactor, error) {
-	m, n := a.Rows(), a.Cols()
+func qrInPlace(qr *Matrix) (*QRFactor, error) {
+	m, n := qr.Rows(), qr.Cols()
 	if m < n {
 		return nil, fmt.Errorf("%w: QR requires rows >= cols, got %dx%d", ErrDimension, m, n)
 	}
-	qr := a.Clone()
 	rdiag := make(Vector, n)
 	w := make(Vector, n)
 	for k := 0; k < n; k++ {
@@ -123,35 +127,13 @@ func (f *QRFactor) Solve(b Vector) (Vector, error) {
 	return x, nil
 }
 
-// LeastSquares solves min ‖a·x − b‖₂ in one call.
+// LeastSquares solves min ‖a·x − b‖₂ in one call. It takes ownership of
+// a: the factorization overwrites it, so a caller that still needs a
+// passes a.Clone().
 func LeastSquares(a *Matrix, b Vector) (Vector, error) {
-	f, err := QR(a)
+	f, err := qrInPlace(a)
 	if err != nil {
 		return nil, err
 	}
 	return f.Solve(b)
-}
-
-// RidgeLeastSquares solves min ‖a·x − b‖² + λ‖x‖² by augmenting the system
-// with √λ·I rows; λ must be non-negative. λ = 0 reduces to plain least
-// squares, and any λ > 0 guarantees full rank.
-func RidgeLeastSquares(a *Matrix, b Vector, lambda float64) (Vector, error) {
-	if lambda < 0 {
-		return nil, fmt.Errorf("linalg: negative ridge penalty %g", lambda)
-	}
-	if lambda == 0 {
-		return LeastSquares(a, b)
-	}
-	m, n := a.Rows(), a.Cols()
-	aug := NewMatrix(m+n, n)
-	for i := 0; i < m; i++ {
-		copy(aug.Row(i), a.Row(i))
-	}
-	s := math.Sqrt(lambda)
-	for i := 0; i < n; i++ {
-		aug.Set(m+i, i, s)
-	}
-	rhs := make(Vector, m+n)
-	copy(rhs, b)
-	return LeastSquares(aug, rhs)
 }

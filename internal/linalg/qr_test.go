@@ -50,7 +50,7 @@ func TestLeastSquaresResidualOrthogonality(t *testing.T) {
 		}
 		b[i] = rng.NormFloat64()
 	}
-	x, err := LeastSquares(a, b)
+	x, err := LeastSquares(a.Clone(), b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,59 +85,6 @@ func TestQRShapeErrors(t *testing.T) {
 	}
 	if _, err := f.Solve(VectorOf(1, 2, 3)); err == nil {
 		t.Fatal("expected rhs length error")
-	}
-}
-
-func TestRidgeLeastSquares(t *testing.T) {
-	// Ridge with a rank-deficient design must still produce a solution,
-	// and larger lambda must shrink the coefficient norm.
-	a := MatrixFromRows([][]float64{{1, 1}, {1, 1}, {1, 1}})
-	b := VectorOf(2, 2, 2)
-	x1, err := RidgeLeastSquares(a, b, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x2, err := RidgeLeastSquares(a, b, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(x2.Norm2() < x1.Norm2()) {
-		t.Fatalf("ridge did not shrink: ‖x(0.01)‖=%v ‖x(10)‖=%v", x1.Norm2(), x2.Norm2())
-	}
-	if _, err := RidgeLeastSquares(a, b, -1); err == nil {
-		t.Fatal("expected error for negative lambda")
-	}
-	// lambda = 0 equals plain least squares on a full-rank system.
-	fr := MatrixFromRows([][]float64{{1, 0}, {0, 1}, {1, 1}})
-	y := VectorOf(1, 2, 3)
-	p1, _ := RidgeLeastSquares(fr, y, 0)
-	p2, _ := LeastSquares(fr, y)
-	if !p1.Equal(p2, 1e-12) {
-		t.Fatalf("lambda=0 mismatch: %v vs %v", p1, p2)
-	}
-}
-
-func TestRidgeShrinksTowardZeroProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	m, n := 12, 4
-	a := NewMatrix(m, n)
-	b := make(Vector, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			a.Set(i, j, rng.NormFloat64())
-		}
-		b[i] = rng.NormFloat64()
-	}
-	prev := math.Inf(1)
-	for _, lam := range []float64{0, 0.1, 1, 10, 100} {
-		x, err := RidgeLeastSquares(a, b, lam)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if x.Norm2() > prev+1e-9 {
-			t.Fatalf("norm not monotone in lambda at %v", lam)
-		}
-		prev = x.Norm2()
 	}
 }
 

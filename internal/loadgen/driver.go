@@ -45,7 +45,7 @@ func OpenLoop(ctx context.Context, wl Workload, cfg OpenLoopConfig) (*Outcome, e
 		Errors:      make(map[string]int64),
 		Latency:     histo.New(),
 	}
-	n := int(cfg.Rate*cfg.Duration.Seconds() + 0.5)
+	n := int(float64(cfg.Rate*cfg.Duration.Seconds()) + 0.5)
 	if n < 1 {
 		n = 1
 	}

@@ -120,4 +120,4 @@ func (r *Report) WriteFile(path string) error {
 	return nil
 }
 
-func round3(v float64) float64 { return float64(int64(v*1000+0.5)) / 1000 }
+func round3(v float64) float64 { return float64(int64(float64(v*1000)+0.5)) / 1000 }

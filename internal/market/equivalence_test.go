@@ -118,7 +118,7 @@ func TestLedgerReturnsDefensiveCopy(t *testing.T) {
 	pop := testOwners(t, 10, 31)
 	b, err := NewBroker(Config{
 		Owners: pop, Mechanism: pricing.NewSync(testMechanism(t, 3, 50)),
-		FeatureDim: 3, KeepRecords: true,
+		FeatureDim: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestConcurrentBatchesKeepBooksConsistent(t *testing.T) {
 	pop := testOwners(t, owners, 41)
 	b, err := NewBroker(Config{
 		Owners: pop, Mechanism: pricing.NewSync(testMechanism(t, 4, batches*perB)),
-		FeatureDim: 4, Seed: 3, KeepRecords: true,
+		FeatureDim: 4, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@
 package market
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -81,10 +80,9 @@ type Broker struct {
 	// coordination with the books mutex below.
 	ctxPool sync.Pool
 
-	mu      sync.Mutex // guards rng, ledger, tracker, ownerPayout, totals
-	rng     *randx.RNG
-	ledger  []Transaction
-	tracker *pricing.Tracker
+	mu     sync.Mutex // guards rng, ledger, ownerPayout, totals
+	rng    *randx.RNG
+	ledger []Transaction
 
 	ownerPayout linalg.Vector // cumulative compensation per owner
 
@@ -109,8 +107,6 @@ type Config struct {
 	FeatureDim int
 	// Seed drives the Laplace noise in the returned answers.
 	Seed uint64
-	// KeepRecords retains the full ledger (needed for curves).
-	KeepRecords bool
 	// LedgerPrealloc pre-sizes the ledger's backing array, so settles
 	// below that many rounds append without growing — the last
 	// allocation on the steady-state settle path. 0 keeps the default
@@ -138,7 +134,6 @@ func NewBroker(cfg Config) (*Broker, error) {
 		mech:        cfg.Mechanism,
 		featureDim:  cfg.FeatureDim,
 		rng:         randx.New(cfg.Seed),
-		tracker:     pricing.NewTracker(cfg.KeepRecords),
 		ownerPayout: make(linalg.Vector, len(cfg.Owners)),
 	}
 	for i, o := range cfg.Owners {
@@ -259,46 +254,20 @@ func (b *Broker) quoteFor(q *privacy.LinearQuery) (*QuoteContext, error) {
 // Trade executes one full round: prepare, post a price, observe the
 // consumer's decision, settle payments, and append to the ledger. The
 // consumer accepts iff the posted price is at most her valuation. The
-// post-observe pair runs atomically (SyncPoster.PriceRound), so
-// concurrent trades cannot interleave inside a round.
+// post-observe pair and the round's regret record run atomically
+// (SyncPoster.PriceRound), so concurrent trades cannot interleave inside
+// a round.
 func (b *Broker) Trade(query Query) (Transaction, error) {
 	ctx, err := b.quoteFor(query.Q)
 	if err != nil {
 		return Transaction{}, err
 	}
 	defer b.ctxPool.Put(ctx)
-	quote, sold, err := b.mech.PriceRound(ctx.Features, ctx.Reserve, func(q pricing.Quote) bool {
-		return pricing.Sold(q.Price, query.Valuation)
-	})
+	quote, sold, err := b.mech.PriceRound(ctx.Features, ctx.Reserve, query.Valuation)
 	if err != nil {
 		return Transaction{}, fmt.Errorf("market: pricing round: %w", err)
 	}
 	return b.settle(query, ctx, quote, sold)
-}
-
-// TradeBatch executes len(queries) full rounds. Each query runs the
-// Prepare pipeline exactly once; all rounds then price under ONE lock
-// acquisition (SyncPoster.PriceBatch) before settling, amortizing the
-// per-round synchronization that dominates Trade under concurrency.
-//
-// Every query is attempted regardless of earlier failures: a query that
-// fails (prepare, pricing, or settlement) leaves no ledger entry, the
-// rest trade normally, and the returned error joins the per-query
-// failures. Settling the survivors is not optional — the mechanism has
-// already consumed their feedback, so skipping them would leave the
-// books permanently behind the mechanism state.
-func (b *Broker) TradeBatch(queries []Query) ([]Transaction, error) {
-	out := b.TradeBatchOutcomes(queries)
-	txs := make([]Transaction, 0, len(out))
-	var errs []error
-	for i, o := range out {
-		if o.Err != nil {
-			errs = append(errs, fmt.Errorf("market: query %d: %w", i, o.Err))
-			continue
-		}
-		txs = append(txs, o.Tx)
-	}
-	return txs, errors.Join(errs...)
 }
 
 // TradeOutcome is one query's result from TradeBatchOutcomes: the
@@ -311,7 +280,8 @@ type TradeOutcome struct {
 
 // TradeBatchOutcomes executes len(queries) full rounds and reports them
 // index-for-index — the form serving layers need to answer each request
-// slot of a wire batch. TradeBatch is this with the failures joined.
+// slot of a wire batch. A query that fails leaves no ledger entry; the
+// rest trade normally.
 //
 // The batch runs in three phases: queries prepare into pooled contexts
 // in parallel across a bounded worker pool (Prepare reads only immutable
@@ -324,17 +294,17 @@ func (b *Broker) TradeBatchOutcomes(queries []Query) []TradeOutcome {
 	ctxs := make([]*QuoteContext, len(queries))
 	b.prepareAll(queries, ctxs, out)
 	rounds := make([]pricing.BatchRound, 0, len(queries))
+	vals := make([]float64, 0, len(queries))
 	idx := make([]int, 0, len(queries)) // query index of each prepared round
 	for i, ctx := range ctxs {
 		if ctx == nil {
 			continue
 		}
 		rounds = append(rounds, pricing.BatchRound{X: ctx.Features, Reserve: ctx.Reserve})
+		vals = append(vals, queries[i].Valuation)
 		idx = append(idx, i)
 	}
-	priced := b.mech.PriceBatch(rounds, func(k int, q pricing.Quote) bool {
-		return pricing.Sold(q.Price, queries[idx[k]].Valuation)
-	})
+	priced := b.mech.PriceBatch(rounds, vals)
 	b.settleBatch(queries, ctxs, idx, priced, out)
 	for _, ctx := range ctxs {
 		if ctx != nil {
@@ -458,8 +428,6 @@ func (b *Broker) settleLocked(query Query, ctx *QuoteContext, quote pricing.Quot
 		b.totCompensation += tx.Compensation
 	}
 	tx.Regret = pricing.SingleRoundRegret(query.Valuation, ctx.Reserve, tx.Posted)
-
-	b.tracker.Record(query.Valuation, ctx.Reserve, quote)
 	b.ledger = append(b.ledger, tx)
 	return tx, nil
 }
@@ -503,8 +471,8 @@ func (b *Broker) Payouts() linalg.Vector {
 	return b.ownerPayout.Clone()
 }
 
-// Stats is a consistent snapshot of the broker's books: the market
-// totals plus the regret-tracker aggregates over every trade.
+// Stats is a snapshot of the broker's books: the market totals plus the
+// mechanism's counters and regret aggregates over every priced trade.
 type Stats struct {
 	// Rounds counts every trade; Sold the settled ones.
 	Rounds int
@@ -514,6 +482,8 @@ type Stats struct {
 	Revenue      float64
 	Compensation float64
 	Profit       float64
+	// Counters is the mechanism's per-round bookkeeping.
+	Counters pricing.Counters
 	// Regret aggregates per Eq. (1).
 	CumulativeRegret  float64
 	CumulativeValue   float64
@@ -521,10 +491,14 @@ type Stats struct {
 	RegretRatio       float64
 }
 
-// Stats captures the books under the broker lock, so it is safe while
-// trades are in flight and internally consistent (every counted round's
-// settlement and regret are both included).
+// Stats is safe while trades are in flight. The market totals are read
+// under the books lock, and the counters and regret under one
+// acquisition of the mechanism's lock. A trade records its regret when
+// it is priced and enters the totals when it settles, so a concurrent
+// call may see regret up to one batch ahead of the totals; once trades
+// finish, the two agree.
 func (b *Broker) Stats() Stats {
+	counters, reg := b.mech.Books()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return Stats{
@@ -533,16 +507,13 @@ func (b *Broker) Stats() Stats {
 		Revenue:           b.totRevenue,
 		Compensation:      b.totCompensation,
 		Profit:            b.totRevenue - b.totCompensation,
-		CumulativeRegret:  b.tracker.CumulativeRegret(),
-		CumulativeValue:   b.tracker.CumulativeValue(),
-		CumulativeRevenue: b.tracker.CumulativeRevenue(),
-		RegretRatio:       b.tracker.RegretRatio(),
+		Counters:          counters,
+		CumulativeRegret:  reg.CumRegret,
+		CumulativeValue:   reg.CumValue,
+		CumulativeRevenue: reg.CumRevenue,
+		RegretRatio:       reg.RegretRatio(),
 	}
 }
-
-// Tracker returns the broker's regret tracker. The tracker is not itself
-// safe for concurrent use; read it only after in-flight trades finish.
-func (b *Broker) Tracker() *pricing.Tracker { return b.tracker }
 
 // OwnerPayout returns the cumulative compensation paid to owner i.
 func (b *Broker) OwnerPayout(i int) (float64, error) {

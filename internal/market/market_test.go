@@ -1,6 +1,7 @@
 package market
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -11,6 +12,21 @@ import (
 	"datamarket/internal/privacy"
 	"datamarket/internal/randx"
 )
+
+// tradeBatch trades queries through TradeBatchOutcomes and returns the
+// settled transactions in query order, with the failures joined.
+func tradeBatch(b *Broker, queries []Query) ([]Transaction, error) {
+	var txs []Transaction
+	var errs []error
+	for i, o := range b.TradeBatchOutcomes(queries) {
+		if o.Err != nil {
+			errs = append(errs, fmt.Errorf("query %d: %w", i, o.Err))
+			continue
+		}
+		txs = append(txs, o.Tx)
+	}
+	return txs, errors.Join(errs...)
+}
 
 // testOwners builds a small owner population with tanh contracts.
 func testOwners(t *testing.T, n int, seed uint64) []Owner {
@@ -122,7 +138,7 @@ func TestTradeFullLoop(t *testing.T) {
 	)
 	ownerPop := testOwners(t, owners, 6)
 	mech := pricing.NewSync(testMechanism(t, n, T))
-	b, err := NewBroker(Config{Owners: ownerPop, Mechanism: mech, FeatureDim: n, Seed: 7, KeepRecords: true})
+	b, err := NewBroker(Config{Owners: ownerPop, Mechanism: mech, FeatureDim: n, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +192,7 @@ func TestTradeFullLoop(t *testing.T) {
 		t.Fatalf("no revenue: %v", b.TotalRevenue())
 	}
 	// The regret ratio must be modest once the mechanism converges.
-	if ratio := b.Tracker().RegretRatio(); ratio > 0.35 {
+	if ratio := b.Stats().RegretRatio; ratio > 0.35 {
 		t.Fatalf("regret ratio %v too high", ratio)
 	}
 	// Owner payouts sum to total compensation paid.
@@ -306,11 +322,10 @@ func TestTradeConcurrent(t *testing.T) {
 	ownerPop := testOwners(t, owners, 20)
 	mech := testMechanism(t, n, workers*perW)
 	b, err := NewBroker(Config{
-		Owners:      ownerPop,
-		Mechanism:   pricing.NewSync(mech),
-		FeatureDim:  n,
-		Seed:        21,
-		KeepRecords: true,
+		Owners:     ownerPop,
+		Mechanism:  pricing.NewSync(mech),
+		FeatureDim: n,
+		Seed:       21,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -396,7 +411,7 @@ func TestTradeConcurrent(t *testing.T) {
 func TestSettleFailingAnswerLeavesBooksUntouched(t *testing.T) {
 	ownerPop := testOwners(t, 10, 21)
 	mech := testMechanism(t, 3, 100)
-	b, err := NewBroker(Config{Owners: ownerPop, Mechanism: pricing.NewSync(mech), FeatureDim: 3, KeepRecords: true})
+	b, err := NewBroker(Config{Owners: ownerPop, Mechanism: pricing.NewSync(mech), FeatureDim: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,14 +446,14 @@ func TestSettleFailingAnswerLeavesBooksUntouched(t *testing.T) {
 	if len(b.Ledger()) != 0 {
 		t.Fatalf("failed settlement left %d ledger entries", len(b.Ledger()))
 	}
-	if b.Tracker().Rounds() != 0 {
-		t.Fatalf("failed settlement recorded %d tracker rounds", b.Tracker().Rounds())
+	if s := b.Stats(); s.CumulativeValue != 0 {
+		t.Fatalf("failed settlement recorded regret: %+v", s)
 	}
 }
 
-// TestTradeBatchMatchesSequentialTrades checks that TradeBatch on a
-// batch-capable mechanism produces exactly the ledger that the same
-// query sequence produces through per-round Trade calls.
+// TestTradeBatchMatchesSequentialTrades checks that batch trades on a
+// batch-capable mechanism produce exactly the ledger that the same query
+// sequence produces through per-round Trade calls.
 func TestTradeBatchMatchesSequentialTrades(t *testing.T) {
 	const owners, n, T = 30, 4, 300
 	newBroker := func() (*Broker, *ConsumerModel, *randx.RNG) {
@@ -446,7 +461,7 @@ func TestTradeBatchMatchesSequentialTrades(t *testing.T) {
 		ownerPop := testOwners(t, owners, 31)
 		b, err := NewBroker(Config{
 			Owners: ownerPop, Mechanism: pricing.NewSync(testMechanism(t, n, T)),
-			FeatureDim: n, Seed: 32, KeepRecords: true,
+			FeatureDim: n, Seed: 32,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -493,7 +508,7 @@ func TestTradeBatchMatchesSequentialTrades(t *testing.T) {
 		if hi > T {
 			hi = T
 		}
-		txs, err := bBatch.TradeBatch(queries[lo:hi])
+		txs, err := tradeBatch(bBatch, queries[lo:hi])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -517,7 +532,7 @@ func TestTradeBatchMatchesSequentialTrades(t *testing.T) {
 	}
 }
 
-// TestTradeBatchPartialFailure pins the failure semantics of TradeBatch:
+// TestTradeBatchPartialFailure pins the failure semantics of batch trades:
 // a query that fails to prepare mid-batch leaves no ledger entry, every
 // other query still trades, and the joined error names the failure.
 func TestTradeBatchPartialFailure(t *testing.T) {
@@ -529,7 +544,7 @@ func TestTradeBatchPartialFailure(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ownerPop := testOwners(t, 8, 51)
-			b, err := NewBroker(Config{Owners: ownerPop, Mechanism: tc.mech(), FeatureDim: 2, Seed: 52, KeepRecords: true})
+			b, err := NewBroker(Config{Owners: ownerPop, Mechanism: tc.mech(), FeatureDim: 2, Seed: 52})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -545,7 +560,7 @@ func TestTradeBatchPartialFailure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			txs, err := b.TradeBatch([]Query{
+			txs, err := tradeBatch(b, []Query{
 				{Q: good1, Valuation: 5},
 				{Q: bad, Valuation: 5},
 				{Q: good2, Valuation: 5},
@@ -565,8 +580,8 @@ func TestTradeBatchPartialFailure(t *testing.T) {
 
 // TestBrokerHostsEveryFamily drives the broker with a poster of each
 // hosted pricing family behind SyncPoster, through both Trade and
-// TradeBatch: the broker is mechanism-agnostic and takes any family
-// through SyncPoster.
+// TradeBatchOutcomes: the broker is mechanism-agnostic and takes any
+// family through SyncPoster.
 func TestBrokerHostsEveryFamily(t *testing.T) {
 	const owners, n, T = 20, 3, 120
 	specs := map[pricing.Family]pricing.FamilySpec{
@@ -584,7 +599,7 @@ func TestBrokerHostsEveryFamily(t *testing.T) {
 		ownerPop := testOwners(t, owners, 51)
 		b, err := NewBroker(Config{
 			Owners: ownerPop, Mechanism: pricing.NewSync(fp),
-			FeatureDim: n, Seed: 52, KeepRecords: true,
+			FeatureDim: n, Seed: 52,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", fam, err)
@@ -614,9 +629,9 @@ func TestBrokerHostsEveryFamily(t *testing.T) {
 				t.Fatalf("%s: trade %d: %v", fam, i, err)
 			}
 		}
-		txs, err := b.TradeBatch(queries[T/2:])
+		txs, err := tradeBatch(b, queries[T/2:])
 		if err != nil {
-			t.Fatalf("%s: TradeBatch: %v", fam, err)
+			t.Fatalf("%s: batch trade: %v", fam, err)
 		}
 		if len(txs) != T-T/2 {
 			t.Fatalf("%s: batch produced %d transactions", fam, len(txs))

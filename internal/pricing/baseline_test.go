@@ -32,7 +32,7 @@ func TestRiskAverseBaseline(t *testing.T) {
 func TestRiskAverseRegretIsFullMarkup(t *testing.T) {
 	// When q ≤ v always, the baseline's regret is exactly Σ(v−q).
 	b := NewRiskAverse()
-	tr := NewTracker(false)
+	tr := NewTracker()
 	r := randx.New(51)
 	var want float64
 	for i := 0; i < 500; i++ {
@@ -58,7 +58,7 @@ func TestClairvoyantZeroRegret(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTracker(false)
+	tr := NewTracker()
 	r := randx.New(52)
 	for i := 0; i < 300; i++ {
 		x := r.UniformVector(2, 0.1, 1)
@@ -126,8 +126,8 @@ func TestMechanismBeatsRiskAverseBaseline(t *testing.T) {
 	m, _ := New(n, 2*math.Sqrt(float64(n)), WithThreshold(eps), WithReserve())
 	b := NewRiskAverse()
 
-	trM := NewTracker(false)
-	trB := NewTracker(false)
+	trM := NewTracker()
+	trB := NewTracker()
 	for i := 0; i < T; i++ {
 		x := positiveSphere(r, n)
 		v := x.Dot(theta)

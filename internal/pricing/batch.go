@@ -18,16 +18,18 @@ type BatchOutcome struct {
 }
 
 // PriceBatch runs len(rounds) full rounds back to back under ONE lock
-// acquisition: for each round it posts the price, obtains the buyer's
-// decision from respond(i, quote), and delivers the feedback before
-// moving on. Concurrent callers therefore interleave at batch
-// granularity; within a batch the rounds are sequential, exactly as if
-// the caller had issued k PriceRound calls with no writer in between.
+// acquisition: for each round it posts the price, accepts iff
+// Sold(price, valuations[i]), delivers the feedback and records the
+// round in the regret tracker before moving on. Concurrent callers
+// therefore interleave at batch granularity; within a batch the rounds
+// are sequential, exactly as if the caller had issued k PriceRound calls
+// with no writer in between. valuations must align with rounds.
 //
-// A round that fails (e.g. a feature-dimension mismatch) records its
-// error in the corresponding outcome and leaves the mechanism untouched;
-// later rounds in the batch still run.
-func (s *SyncPoster) PriceBatch(rounds []BatchRound, respond func(i int, q Quote) bool) []BatchOutcome {
+// A round that fails (e.g. a feature-dimension mismatch or a non-finite
+// reserve) records its error in the corresponding outcome and leaves the
+// mechanism and the tracker untouched; later rounds in the batch still
+// run.
+func (s *SyncPoster) PriceBatch(rounds []BatchRound, valuations []float64) []BatchOutcome {
 	out := make([]BatchOutcome, len(rounds))
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -36,7 +38,7 @@ func (s *SyncPoster) PriceBatch(rounds []BatchRound, respond func(i int, q Quote
 	// needs "changed since last persist", not a round count.
 	s.rev.Add(1)
 	for i := range rounds {
-		q, accepted, err := s.priceRoundLocked(rounds[i].X, rounds[i].Reserve, i, respond)
+		q, accepted, err := s.priceRoundLocked(rounds[i].X, rounds[i].Reserve, valuations[i])
 		out[i] = BatchOutcome{Quote: q, Accepted: accepted, Err: err}
 	}
 	return out

@@ -30,18 +30,17 @@ func TestPriceBatchMatchesSingleRounds(t *testing.T) {
 	r := randx.New(7)
 	theta := r.OnSphere(n)
 	batch := make([]BatchRound, rounds)
+	vals := make([]float64, rounds)
 	for i := range batch {
 		batch[i] = BatchRound{X: randx.NewStream(11, uint64(i)).OnSphere(n), Reserve: -1}
+		vals[i] = batch[i].X.Dot(theta)
 	}
-	accept := func(q Quote, x linalg.Vector) bool { return Sold(q.Price, x.Dot(theta)) }
 
 	single := batchTestPoster(t, n)
 	singleQuotes := make([]Quote, rounds)
 	singleAccepted := make([]bool, rounds)
 	for i := range batch {
-		q, acc, err := single.PriceRound(batch[i].X, batch[i].Reserve, func(q Quote) bool {
-			return accept(q, batch[i].X)
-		})
+		q, acc, err := single.PriceRound(batch[i].X, batch[i].Reserve, vals[i])
 		if err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
@@ -49,9 +48,7 @@ func TestPriceBatchMatchesSingleRounds(t *testing.T) {
 	}
 
 	batched := batchTestPoster(t, n)
-	out := batched.PriceBatch(batch, func(i int, q Quote) bool {
-		return accept(q, batch[i].X)
-	})
+	out := batched.PriceBatch(batch, vals)
 	if len(out) != rounds {
 		t.Fatalf("got %d outcomes, want %d", len(out), rounds)
 	}
@@ -96,7 +93,7 @@ func TestPriceBatchPerItemError(t *testing.T) {
 		{X: linalg.VectorOf(1, 0, 0), Reserve: -1}, // wrong dimension
 		{X: linalg.VectorOf(0, 1), Reserve: -1},
 	}
-	out := sp.PriceBatch(rounds, func(int, Quote) bool { return true })
+	out := sp.PriceBatch(rounds, []float64{1e9, 1e9, 1e9})
 	if out[0].Err != nil || out[2].Err != nil {
 		t.Fatalf("valid rounds errored: %v, %v", out[0].Err, out[2].Err)
 	}
@@ -110,19 +107,15 @@ func TestPriceBatchPerItemError(t *testing.T) {
 }
 
 // TestPriceBatchSkipRound checks that skip rounds inside a batch post no
-// price, fire no respond callback, and leave nothing pending.
+// price, are not accepted even by a buyer who would pay anything, and
+// leave nothing pending.
 func TestPriceBatchSkipRound(t *testing.T) {
 	sp := batchTestPoster(t, 2)
 	rounds := []BatchRound{
 		{X: linalg.VectorOf(1, 0), Reserve: 1e6}, // certain no-deal
 		{X: linalg.VectorOf(1, 0), Reserve: -1},
 	}
-	out := sp.PriceBatch(rounds, func(i int, q Quote) bool {
-		if i == 0 {
-			t.Fatal("respond called on a skip round")
-		}
-		return true
-	})
+	out := sp.PriceBatch(rounds, []float64{1e9, 1e9})
 	if out[0].Err != nil || out[0].Quote.Decision != DecisionSkip || out[0].Accepted {
 		t.Fatalf("skip outcome wrong: %+v", out[0])
 	}
@@ -150,12 +143,12 @@ func TestPriceBatchConcurrent(t *testing.T) {
 			r := randx.NewStream(5, uint64(w))
 			for b := 0; b < batches; b++ {
 				rounds := make([]BatchRound, perBatch)
+				vals := make([]float64, perBatch)
 				for i := range rounds {
 					rounds[i] = BatchRound{X: r.OnSphere(n), Reserve: -1}
+					vals[i] = rounds[i].X.Dot(theta)
 				}
-				out := sp.PriceBatch(rounds, func(i int, q Quote) bool {
-					return Sold(q.Price, rounds[i].X.Dot(theta))
-				})
+				out := sp.PriceBatch(rounds, vals)
 				for i, o := range out {
 					if o.Err != nil {
 						t.Errorf("worker %d round %d: %v", w, i, o.Err)

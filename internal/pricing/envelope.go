@@ -28,10 +28,11 @@ type Envelope struct {
 	Nonlinear *NonlinearSnapshot `json:"nonlinear,omitempty"`
 	// SGD is the gradient poster's point estimate and schedule position.
 	SGD *SGDSnapshot `json:"sgd,omitempty"`
-	// Regret optionally carries the hosting stream's regret-tracker
-	// aggregates. It is host-level bookkeeping, orthogonal to the family
-	// payload: posters never read or write it — the serving layer fills it
-	// on snapshot and rehydrates its tracker on restore. The field is
+	// Regret optionally carries the regret-tracker aggregates of the
+	// valuation rounds priced through a SyncPoster. It is orthogonal to
+	// the family payload: family posters never read or write it —
+	// SyncPoster fills it on snapshot and rebuilds its tracker from it on
+	// restore (RestoreSync, RestoreEnvelopeSnapshot). The field is
 	// additive and optional within envelope version 1, so envelopes
 	// written before it existed (and bare legacy snapshots) restore with a
 	// zeroed tracker; that reset is part of the restore contract and is

@@ -80,7 +80,7 @@ func (m *IntervalMechanism) PostPrice(x, reserve float64) (Quote, error) {
 	}
 	m.counters.Rounds++
 
-	plo, phi := x*m.lo, x*m.hi
+	plo, phi := float64(x*m.lo), float64(x*m.hi)
 	q := Quote{Lower: plo, Upper: phi}
 
 	if m.useRes && reserve >= phi+m.delta {

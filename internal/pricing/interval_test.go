@@ -181,7 +181,7 @@ func TestIntervalLogRegretScaling(t *testing.T) {
 		eps := DefaultThreshold(1, T, 0)
 		m, _ := NewInterval(0, 2, WithThreshold(eps))
 		r := randx.New(5)
-		tr := NewTracker(false)
+		tr := NewTracker()
 		for i := 0; i < T; i++ {
 			x := r.Uniform(0.5, 1)
 			v := x * theta

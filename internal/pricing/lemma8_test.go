@@ -53,7 +53,7 @@ func TestLemma8ConservativeCutsAreHarmful(t *testing.T) {
 
 		// Phase 2: adversary switches to x = e₂ with no binding reserve.
 		before := m.Counters().Exploratory
-		tr := NewTracker(false)
+		tr := NewTracker()
 		for i := 0; i < T-half; i++ {
 			v := e2.Dot(theta)
 			q, err := m.PostPrice(e2, math.Inf(-1))

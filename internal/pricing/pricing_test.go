@@ -10,12 +10,14 @@ import (
 
 // runLinear drives a Poster through T rounds of the noiseless linear model
 // v = xᵀθ*, with features drawn uniformly on the sphere and reserve prices
-// from the supplied function. It returns the tracker.
+// from the supplied function. It returns the tracker and the cumulative
+// regret after each round.
 func runLinear(t *testing.T, p Poster, theta linalg.Vector, T int, seed uint64,
-	reserveOf func(x linalg.Vector, v float64) float64) *Tracker {
+	reserveOf func(x linalg.Vector, v float64) float64) (*Tracker, []float64) {
 	t.Helper()
 	r := randx.New(seed)
-	tr := NewTracker(true)
+	tr := NewTracker()
+	curve := make([]float64, 0, T)
 	for i := 0; i < T; i++ {
 		x := r.OnSphere(len(theta))
 		v := x.Dot(theta)
@@ -30,8 +32,9 @@ func runLinear(t *testing.T, p Poster, theta linalg.Vector, T int, seed uint64,
 			}
 		}
 		tr.Record(v, q, quote)
+		curve = append(curve, tr.CumulativeRegret())
 	}
-	return tr
+	return tr, curve
 }
 
 func noReserve(linalg.Vector, float64) float64 { return math.Inf(-1) }
@@ -262,11 +265,10 @@ func TestRegretSublinearNoiseless(t *testing.T) {
 	T := 20000
 	eps := DefaultThreshold(n, T, 0)
 	m, _ := New(n, 1, WithThreshold(eps))
-	tr := runLinear(t, m, theta, T, 8, noReserve)
+	tr, curve := runLinear(t, m, theta, T, 8, noReserve)
 
 	// Average regret over the last quarter must be far below the average
 	// market value magnitude — the mechanism has converged.
-	curve := tr.RegretCurve()
 	lastQ := (curve[T-1] - curve[3*T/4]) / float64(T/4)
 	if lastQ > 0.01 {
 		t.Fatalf("late per-round regret %v — mechanism did not converge", lastQ)
@@ -299,7 +301,7 @@ func TestReserveReducesOrMatchesRegret(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := randx.New(13) // identical stream for both versions
-		tr := NewTracker(false)
+		tr := NewTracker()
 		for i := 0; i < T; i++ {
 			x := positiveSphere(r, n)
 			v := x.Dot(theta)

@@ -39,13 +39,12 @@ type RoundRecord struct {
 	Revenue     float64
 }
 
-// Tracker accumulates the per-round series that the paper's tables and
-// figures are built from: cumulative regret (Fig. 4), cumulative market
-// value for regret ratios (Fig. 5), revenue, and Table I-style summaries.
+// Tracker accumulates the aggregates that the paper's tables and figures
+// are built from: cumulative regret (Fig. 4), cumulative market value for
+// regret ratios (Fig. 5), revenue, and Table I-style summaries. It keeps
+// O(1) memory however long the run; a caller that plots a curve reads
+// Record's return value or CumulativeRegret after each round.
 type Tracker struct {
-	//lint:ignore snapshotfields the raw per-round series is deliberately not snapshotted (unbounded; TrackerState keeps aggregates only, see RestoreTracker)
-	records []RoundRecord
-
 	cumRegret  float64
 	cumValue   float64
 	cumRevenue float64
@@ -54,20 +53,15 @@ type Tracker struct {
 	valueStats   *stats.Online
 	postedStats  *stats.Online
 	reserveStats *stats.Online
-
-	keepRecords bool //lint:ignore snapshotfields restore policy, not state: RestoreTracker always resumes in aggregate-only mode
 }
 
-// NewTracker returns a tracker. If keepRecords is true every RoundRecord
-// is retained (needed for curves); otherwise only aggregates are kept,
-// which keeps memory O(1) for very long runs.
-func NewTracker(keepRecords bool) *Tracker {
+// NewTracker returns an empty tracker.
+func NewTracker() *Tracker {
 	return &Tracker{
 		regretStats:  stats.NewOnline(),
 		valueStats:   stats.NewOnline(),
 		postedStats:  stats.NewOnline(),
 		reserveStats: stats.NewOnline(),
-		keepRecords:  keepRecords,
 	}
 }
 
@@ -102,9 +96,6 @@ func (t *Tracker) Record(v, reserve float64, quote Quote) RoundRecord {
 	t.valueStats.Add(v)
 	t.postedStats.Add(posted)
 	t.reserveStats.Add(reserve)
-	if t.keepRecords {
-		t.records = append(t.records, r)
-	}
 	return r
 }
 
@@ -121,49 +112,20 @@ func (t *Tracker) CumulativeValue() float64 { return t.cumValue }
 func (t *Tracker) CumulativeRevenue() float64 { return t.cumRevenue }
 
 // RegretRatio returns Σ R_t / Σ v_t, the headline metric of Fig. 5.
-func (t *Tracker) RegretRatio() float64 {
-	if t.cumValue == 0 {
+func (t *Tracker) RegretRatio() float64 { return regretRatio(t.cumRegret, t.cumValue) }
+
+// RegretRatio returns the captured tracker's Σ R_t / Σ v_t.
+func (s *TrackerState) RegretRatio() float64 { return regretRatio(s.CumRegret, s.CumValue) }
+
+func regretRatio(regret, value float64) float64 {
+	if value == 0 {
 		return 0
 	}
-	return t.cumRegret / t.cumValue
+	return regret / value
 }
 
-// Records returns the retained per-round records (nil unless keepRecords).
-func (t *Tracker) Records() []RoundRecord { return t.records }
-
-// RegretCurve returns the cumulative regret after each round (requires
-// keepRecords).
-func (t *Tracker) RegretCurve() []float64 {
-	out := make([]float64, len(t.records))
-	var s float64
-	for i, r := range t.records {
-		s += r.Regret
-		out[i] = s
-	}
-	return out
-}
-
-// RatioCurve returns the regret ratio after each round (requires
-// keepRecords).
-func (t *Tracker) RatioCurve() []float64 {
-	out := make([]float64, len(t.records))
-	var sr, sv float64
-	for i, r := range t.records {
-		sr += r.Regret
-		sv += r.MarketValue
-		if sv > 0 {
-			out[i] = sr / sv
-		}
-	}
-	return out
-}
-
-// TrackerState is the serializable aggregate state of a Tracker: the
-// cumulative sums plus the four Welford accumulators behind Table().
-// Retained per-round records (keepRecords) are deliberately not carried —
-// they are unbounded, and every serving-stack tracker runs with
-// keepRecords off. RestoreTracker therefore always rebuilds an
-// aggregates-only tracker.
+// TrackerState is the serializable state of a Tracker: the cumulative
+// sums plus the four Welford accumulators behind Table().
 type TrackerState struct {
 	CumRegret  float64 `json:"cum_regret"`
 	CumValue   float64 `json:"cum_value"`
@@ -188,9 +150,9 @@ func (t *Tracker) State() TrackerState {
 	}
 }
 
-// RestoreTracker rebuilds an aggregates-only tracker from a captured
-// state. The four accumulators must agree on the round count — a state
-// violating that was not produced by State.
+// RestoreTracker rebuilds a tracker from a captured state. The four
+// accumulators must agree on the round count — a state violating that
+// was not produced by State.
 func RestoreTracker(s *TrackerState) (*Tracker, error) {
 	if s == nil {
 		return nil, fmt.Errorf("pricing: nil tracker state")
@@ -200,7 +162,7 @@ func RestoreTracker(s *TrackerState) (*Tracker, error) {
 			return nil, fmt.Errorf("pricing: tracker state cumulative %g invalid, want finite", v)
 		}
 	}
-	t := NewTracker(false)
+	t := NewTracker()
 	var err error
 	if t.regretStats, err = stats.NewOnlineFromState(s.Regret); err != nil {
 		return nil, fmt.Errorf("pricing: tracker regret stats: %w", err)

@@ -68,19 +68,25 @@ func TestRegretMonotoneBelowValue(t *testing.T) {
 }
 
 func TestTrackerAccounting(t *testing.T) {
-	tr := NewTracker(true)
+	tr := NewTracker()
+	var curve []float64
+	record := func(v, reserve float64, q Quote) RoundRecord {
+		rec := tr.Record(v, reserve, q)
+		curve = append(curve, tr.CumulativeRegret())
+		return rec
+	}
 	// Round 1: sold at 4 against value 5 → regret 1, revenue 4.
-	rec := tr.Record(5, 1, Quote{Price: 4, Decision: DecisionConservative})
+	rec := record(5, 1, Quote{Price: 4, Decision: DecisionConservative})
 	if !rec.Sold || rec.Regret != 1 || rec.Revenue != 4 {
 		t.Fatalf("rec = %+v", rec)
 	}
 	// Round 2: overpriced at 7 against value 5 → no sale, regret 5.
-	rec = tr.Record(5, 1, Quote{Price: 7, Decision: DecisionExploratory})
+	rec = record(5, 1, Quote{Price: 7, Decision: DecisionExploratory})
 	if rec.Sold || rec.Regret != 5 || rec.Revenue != 0 {
 		t.Fatalf("rec = %+v", rec)
 	}
 	// Round 3: skip with q > v → regret 0.
-	rec = tr.Record(5, 9, Quote{Decision: DecisionSkip})
+	rec = record(5, 9, Quote{Decision: DecisionSkip})
 	if rec.Sold || rec.Regret != 0 {
 		t.Fatalf("skip rec = %+v", rec)
 	}
@@ -93,13 +99,8 @@ func TestTrackerAccounting(t *testing.T) {
 	if math.Abs(tr.RegretRatio()-0.4) > 1e-12 {
 		t.Fatalf("ratio = %v", tr.RegretRatio())
 	}
-	curve := tr.RegretCurve()
 	if len(curve) != 3 || curve[0] != 1 || curve[1] != 6 || curve[2] != 6 {
 		t.Fatalf("curve = %v", curve)
-	}
-	rc := tr.RatioCurve()
-	if math.Abs(rc[2]-0.4) > 1e-12 {
-		t.Fatalf("ratio curve = %v", rc)
 	}
 	row := tr.Table()
 	if row.MarketValue.Count != 3 || math.Abs(row.MarketValue.Mean-5) > 1e-12 {
@@ -108,7 +109,7 @@ func TestTrackerAccounting(t *testing.T) {
 }
 
 func TestTrackerSkipRecordsReserveAsPosted(t *testing.T) {
-	tr := NewTracker(true)
+	tr := NewTracker()
 	rec := tr.Record(2, 10, Quote{Price: 12345, Decision: DecisionSkip})
 	if rec.Posted != 10 {
 		t.Fatalf("skip posted = %v, want reserve 10", rec.Posted)
@@ -116,12 +117,9 @@ func TestTrackerSkipRecordsReserveAsPosted(t *testing.T) {
 }
 
 func TestTrackerWithoutRecords(t *testing.T) {
-	tr := NewTracker(false)
+	tr := NewTracker()
 	for i := 0; i < 100; i++ {
 		tr.Record(1, 0, Quote{Price: 0.5, Decision: DecisionConservative})
-	}
-	if tr.Records() != nil {
-		t.Fatal("records retained despite keepRecords=false")
 	}
 	if tr.Rounds() != 100 || tr.CumulativeRegret() != 50 {
 		t.Fatalf("aggregates wrong: %d %v", tr.Rounds(), tr.CumulativeRegret())
@@ -129,7 +127,7 @@ func TestTrackerWithoutRecords(t *testing.T) {
 }
 
 func TestRegretRatioEmpty(t *testing.T) {
-	tr := NewTracker(false)
+	tr := NewTracker()
 	if tr.RegretRatio() != 0 {
 		t.Fatal("empty ratio must be 0")
 	}

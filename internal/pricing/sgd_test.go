@@ -58,7 +58,7 @@ func TestSGDLearnsButSlowerThanEllipsoid(t *testing.T) {
 
 	run := func(p Poster) *Tracker {
 		r := randx.New(62)
-		tr := NewTracker(false)
+		tr := NewTracker()
 		for i := 0; i < T; i++ {
 			x := positiveSphere(r, n)
 			v := x.Dot(theta)
@@ -231,9 +231,7 @@ func TestSyncPosterConcurrent(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				x := r.OnSphere(n)
 				v := x.Dot(theta)
-				_, _, err := sp.PriceRound(x, math.Inf(-1), func(q Quote) bool {
-					return Sold(q.Price, v)
-				})
+				_, _, err := sp.PriceRound(x, 0, v)
 				if err != nil {
 					errs <- err
 					return

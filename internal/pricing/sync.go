@@ -18,6 +18,13 @@ type SyncPoster struct {
 	mu    sync.Mutex
 	inner FamilyPoster
 
+	// tracker records every valuation round (PriceRound, PriceBatch)
+	// under mu, in the same critical section that prices it, so the
+	// counters and a snapshot of the wrapped poster always pair with the
+	// regret of exactly the rounds they reflect. Two-phase rounds
+	// (PostPrice/Observe) carry no valuation and never enter it.
+	tracker *Tracker
+
 	// pending shadows the wrapped poster's pending state. Every state
 	// change runs under mu and refreshes the shadow before unlocking, so
 	// the shadow is exact — and Pending can read it lock-free, never
@@ -34,8 +41,41 @@ type SyncPoster struct {
 	rev atomic.Uint64
 }
 
-// NewSync wraps a FamilyPoster for concurrent use.
-func NewSync(inner FamilyPoster) *SyncPoster { return &SyncPoster{inner: inner} }
+// NewSync wraps a FamilyPoster for concurrent use, with an empty regret
+// tracker.
+func NewSync(inner FamilyPoster) *SyncPoster {
+	return &SyncPoster{inner: inner, tracker: NewTracker()}
+}
+
+// RestoreSync rebuilds a SyncPoster from an envelope: the wrapped poster
+// from the family payload and the regret tracker from Regret (empty when
+// the envelope carries none).
+func RestoreSync(env *Envelope) (*SyncPoster, error) {
+	inner, tracker, err := restoreState(env)
+	if err != nil {
+		return nil, err
+	}
+	return &SyncPoster{inner: inner, tracker: tracker}, nil
+}
+
+// restoreState rebuilds the poster and tracker an envelope describes. An
+// envelope without tracker state (legacy snapshots, hand-written
+// envelopes) yields an empty tracker: regret bookkeeping restarts at the
+// restore point, as Envelope.Regret documents.
+func restoreState(env *Envelope) (FamilyPoster, *Tracker, error) {
+	inner, err := RestoreEnvelope(env)
+	if err != nil {
+		return nil, nil, err
+	}
+	if env.Regret == nil {
+		return inner, NewTracker(), nil
+	}
+	tracker, err := RestoreTracker(env.Regret)
+	if err != nil {
+		return nil, nil, err
+	}
+	return inner, tracker, nil
+}
 
 // refreshPending re-derives the pending shadow from the wrapped poster.
 // The caller must hold s.mu.
@@ -51,7 +91,8 @@ func (s *SyncPoster) refreshPending() { s.pending.Store(s.inner.Pending()) }
 // snapshotting, not after).
 func (s *SyncPoster) Revision() uint64 { return s.rev.Load() }
 
-// PostPrice locks and forwards.
+// PostPrice locks and forwards. The round it opens is not recorded in
+// the regret tracker: the buyer's valuation is never seen.
 func (s *SyncPoster) PostPrice(x linalg.Vector, reserve float64) (Quote, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -71,37 +112,44 @@ func (s *SyncPoster) Observe(accepted bool) error {
 	return err
 }
 
-// PriceRound runs one full round atomically: post the price, obtain the
-// buyer's decision from respond, and deliver the feedback — all under the
-// lock, so concurrent callers interleave at round granularity.
-func (s *SyncPoster) PriceRound(x linalg.Vector, reserve float64,
-	respond func(Quote) bool) (Quote, bool, error) {
+// PriceRound runs one full round atomically against the buyer's
+// valuation: post the price, accept iff Sold(price, valuation), deliver
+// the feedback and record the round in the regret tracker — all under
+// the lock, so concurrent callers interleave at round granularity. A
+// non-finite reserve or valuation fails the round before the mechanism
+// runs.
+func (s *SyncPoster) PriceRound(x linalg.Vector, reserve, valuation float64) (Quote, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.refreshPending()
 	s.rev.Add(1)
-	return s.priceRoundLocked(x, reserve, 0, func(_ int, q Quote) bool { return respond(q) })
+	return s.priceRoundLocked(x, reserve, valuation)
 }
 
 // priceRoundLocked is the one-round protocol shared by PriceRound and
-// PriceBatch; the caller must hold s.mu. respond receives the caller's
-// round index i (0 for single rounds).
-func (s *SyncPoster) priceRoundLocked(x linalg.Vector, reserve float64, i int,
-	respond func(int, Quote) bool) (Quote, bool, error) {
+// PriceBatch; the caller must hold s.mu. Only a round that prices
+// without error enters the tracker.
+func (s *SyncPoster) priceRoundLocked(x linalg.Vector, reserve, valuation float64) (Quote, bool, error) {
+	if !isFinite(reserve) || !isFinite(valuation) {
+		// The tracker's accumulators and the JSON snapshot carrying them
+		// hold finite values only.
+		return Quote{}, false, fmt.Errorf("pricing: reserve %g and valuation %g must be finite", reserve, valuation)
+	}
 	q, err := s.inner.PostPrice(x, reserve)
 	if err != nil {
 		return Quote{}, false, err
 	}
-	if q.Decision == DecisionSkip {
-		// A skip round posts no price and leaves nothing pending: the
-		// mechanism returns before opening a round, so the next
-		// PostPrice proceeds normally (see TestSyncPosterSkipRound).
-		return q, false, nil
+	accepted := false
+	// A skip round posts no price and leaves nothing pending: the
+	// mechanism returns before opening a round, so the next PostPrice
+	// proceeds normally (see TestSyncPosterSkipRound).
+	if q.Decision != DecisionSkip {
+		accepted = Sold(q.Price, valuation)
+		if err := s.inner.Observe(accepted); err != nil {
+			return q, accepted, err
+		}
 	}
-	accepted := respond(i, q)
-	if err := s.inner.Observe(accepted); err != nil {
-		return q, accepted, err
-	}
+	s.tracker.Record(valuation, reserve, q)
 	return q, accepted, nil
 }
 
@@ -112,22 +160,39 @@ func (s *SyncPoster) Counters() Counters {
 	return s.inner.Counters()
 }
 
-// SnapshotEnvelope captures the wrapped poster's family-tagged state under
-// the lock. It fails if the wrapped poster has a round pending feedback.
+// Books reads the wrapped poster's counters and the regret tracker's
+// aggregates under one lock acquisition, so every valuation round in the
+// counters is in the regret and vice versa.
+func (s *SyncPoster) Books() (Counters, TrackerState) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.inner.Counters(), s.tracker.State()
+}
+
+// SnapshotEnvelope captures the wrapped poster's family-tagged state,
+// with the regret tracker's aggregates in Regret, under the lock. It
+// fails if the wrapped poster has a round pending feedback.
 func (s *SyncPoster) SnapshotEnvelope() (*Envelope, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.inner.SnapshotEnvelope()
+	env, err := s.inner.SnapshotEnvelope()
+	if err != nil {
+		return nil, err
+	}
+	ts := s.tracker.State()
+	env.Regret = &ts
+	return env, nil
 }
 
-// RestoreEnvelopeSnapshot atomically replaces the wrapped poster with one
-// rebuilt from the envelope. Concurrent PriceRound callers serialize
-// around the swap, so a live stream can be rolled back in place. It
-// refuses to swap while a two-phase round is pending feedback — the
-// buyer's decision would be silently discarded — and refuses cross-family
-// restores, which would silently change the stream's model class.
+// RestoreEnvelopeSnapshot atomically replaces the wrapped poster and the
+// regret tracker with those rebuilt from the envelope. Concurrent
+// PriceRound callers serialize around the swap, so a live stream can be
+// rolled back in place. It refuses to swap while a two-phase round is
+// pending feedback — the buyer's decision would be silently discarded —
+// and refuses cross-family restores, which would silently change the
+// stream's model class. A refused restore changes nothing.
 func (s *SyncPoster) RestoreEnvelopeSnapshot(env *Envelope) error {
-	fp, err := RestoreEnvelope(env)
+	inner, tracker, err := restoreState(env)
 	if err != nil {
 		return err
 	}
@@ -139,7 +204,7 @@ func (s *SyncPoster) RestoreEnvelopeSnapshot(env *Envelope) error {
 	if s.inner.Pending() {
 		return fmt.Errorf("pricing: cannot restore while a round is pending feedback: %w", ErrPendingRound)
 	}
-	s.inner = fp
+	s.inner, s.tracker = inner, tracker
 	s.rev.Add(1)
 	s.refreshPending()
 	return nil

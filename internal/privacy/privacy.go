@@ -146,7 +146,7 @@ func (q *LinearQuery) TrueAnswer(data linalg.Vector) (float64, error) {
 	}
 	var s float64
 	for k, i := range q.support {
-		s += q.weights[k] * data[i]
+		s += float64(q.weights[k] * data[i])
 	}
 	return s, nil
 }

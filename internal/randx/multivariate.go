@@ -95,7 +95,7 @@ func (s *SubGaussianNoise) Sample(r *RNG) float64 {
 	case NoiseNormal:
 		return r.Normal(0, s.sigma)
 	case NoiseUniform:
-		h := s.sigma * math.Sqrt(3)
+		h := float64(s.sigma * math.Sqrt(3))
 		return r.Uniform(-h, h)
 	case NoiseRademacher:
 		return s.sigma * r.Rademacher()

@@ -65,7 +65,7 @@ func (r *RNG) Float64() float64 {
 
 // Uniform returns a uniform value in [lo, hi).
 func (r *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*float64(r.Float64()))
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -110,7 +110,7 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 
 // Normal returns a draw from N(mean, std²) via Box-Muller with caching.
 func (r *RNG) Normal(mean, std float64) float64 {
-	return mean + std*r.StdNormal()
+	return mean + float64(std*r.StdNormal())
 }
 
 // StdNormal returns a draw from N(0, 1).
@@ -150,11 +150,11 @@ func (r *RNG) Laplace(loc, scale float64) float64 {
 	if scale <= 0 {
 		panic("randx: Laplace with non-positive scale")
 	}
-	u := r.Float64() - 0.5
+	u := float64(r.Float64()) - 0.5
 	if u >= 0 {
-		return loc - scale*math.Log(1-2*u)
+		return loc - float64(scale*math.Log(1-2*u))
 	}
-	return loc + scale*math.Log(1+2*u)
+	return loc + float64(scale*math.Log(1+2*u))
 }
 
 // Rademacher returns ±1 with equal probability; Rademacher variables are

@@ -200,9 +200,7 @@ func TestServerFamilyHTTPEquivalence(t *testing.T) {
 		var resp BatchPriceResponse
 		c.mustDo("POST", "/v1/streams/"+id+"/price/batch",
 			BatchPriceRequest{Rounds: httpRounds}, &resp, http.StatusOK)
-		libOut := sync.PriceBatch(libRounds, func(i int, q pricing.Quote) bool {
-			return pricing.Sold(q.Price, vals[i])
-		})
+		libOut := sync.PriceBatch(libRounds, vals)
 		for i := 0; i < rounds; i++ {
 			hr, lr := resp.Results[i], libOut[i]
 			if hr.Error != "" || lr.Err != nil {
@@ -238,7 +236,7 @@ func TestServerFamilyHTTPEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		qb, _, err := sync.PriceRound(x, 0.01, func(q pricing.Quote) bool { return false })
+		qb, _, err := sync.PriceRound(x, 0.01, -1e9)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,15 +38,14 @@ const MaxOwners = 65536
 // n = 10 features).
 const DefaultMarketFeatureDim = 10
 
-// HostedMarket is one live market: the broker plus the identity and
-// mechanism handle the HTTP layer reports on.
+// HostedMarket is one live market: the broker plus the identity the
+// HTTP layer reports on.
 type HostedMarket struct {
 	id         string
 	family     pricing.Family
 	featureDim int
 	owners     int
 	broker     *market.Broker
-	poster     *pricing.SyncPoster
 }
 
 // ID returns the market's identifier.
@@ -68,7 +67,6 @@ func (m *HostedMarket) Info() MarketInfo {
 // counters.
 func (m *HostedMarket) Stats() MarketStatsResponse {
 	s := m.broker.Stats()
-	counters := m.poster.Counters()
 	return MarketStatsResponse{
 		ID: m.id, Family: string(m.family),
 		Owners: m.owners, FeatureDim: m.featureDim,
@@ -81,7 +79,7 @@ func (m *HostedMarket) Stats() MarketStatsResponse {
 			CumulativeRevenue: s.CumulativeRevenue,
 			RegretRatio:       s.RegretRatio,
 		},
-		Counters: counters, HasCounters: true,
+		Counters: s.Counters, HasCounters: true,
 	}
 }
 
@@ -154,10 +152,9 @@ func newHostedMarket(req CreateMarketRequest) (*HostedMarket, error) {
 	if err != nil {
 		return nil, err
 	}
-	sync := pricing.NewSync(poster)
 	broker, err := market.NewBroker(market.Config{
 		Owners:     owners,
-		Mechanism:  sync,
+		Mechanism:  pricing.NewSync(poster),
 		FeatureDim: featureDim,
 		Seed:       req.Seed,
 	})
@@ -170,7 +167,6 @@ func newHostedMarket(req CreateMarketRequest) (*HostedMarket, error) {
 		featureDim: featureDim,
 		owners:     len(owners),
 		broker:     broker,
-		poster:     sync,
 	}, nil
 }
 

@@ -108,7 +108,7 @@ func (m *requestMetrics) snapshot() api.MetricsResponse {
 	return resp
 }
 
-func round3(v float64) float64 { return float64(int64(v*1000+0.5)) / 1000 }
+func round3(v float64) float64 { return float64(int64(float64(v*1000)+0.5)) / 1000 }
 
 // withMetrics records per-endpoint counters around the mux. The route
 // pattern is resolved via mux.Handler before serving, so path wildcards

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"datamarket/api"
@@ -57,12 +58,9 @@ type Persister struct {
 	logf     func(string, ...any)
 
 	// passMu serializes checkpoint passes (timer vs admin endpoint vs
-	// shutdown); revMu guards the revision table and last-pass stats and
-	// is only held for map operations.
+	// shutdown).
 	passMu    sync.Mutex
-	revMu     sync.Mutex
-	lastRev   map[string]uint64
-	lastPass  *CheckpointStats
+	lastPass  atomic.Pointer[CheckpointStats]
 	recovered int
 
 	stop chan struct{}
@@ -85,7 +83,6 @@ func NewPersister(reg *Registry, st store.Store, cfg PersistConfig) *Persister {
 		st:       st,
 		interval: interval,
 		logf:     logf,
-		lastRev:  make(map[string]uint64),
 	}
 }
 
@@ -141,10 +138,6 @@ func (p *Persister) Recover() (int, error) {
 		go func(group []store.Entry) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			// Accumulate revisions locally and publish them under one
-			// revMu acquisition instead of paying a lock handoff per
-			// stream (and never hold revMu across GetOrRestore).
-			revs := make(map[string]uint64, len(group))
 			for _, e := range group {
 				st, _, err := p.reg.GetOrRestore(e.ID, e.Env)
 				if err != nil {
@@ -153,13 +146,8 @@ func (p *Persister) Recover() (int, error) {
 					errMu.Unlock()
 					return
 				}
-				revs[e.ID] = st.Revision()
+				st.persisted.Store(st.Revision() + 1)
 			}
-			p.revMu.Lock()
-			for id, rev := range revs {
-				p.lastRev[id] = rev
-			}
-			p.revMu.Unlock()
 		}(group)
 	}
 	wg.Wait()
@@ -243,44 +231,17 @@ func (p *Persister) Checkpoint() CheckpointStats {
 	for _, pp := range pendings {
 		if err := pp.tkt.Wait(); err != nil {
 			stats.Errors++
-			p.logf("checkpoint: stream %q: %v", pp.id, err)
+			p.logf("checkpoint: stream %q: %v", pp.st.ID(), err)
 			// Undo the optimistic revision record so the stream is
 			// re-persisted next pass — unless a newer persist of the same
 			// stream already landed.
-			p.revMu.Lock()
-			if p.lastRev[pp.id] == pp.rev {
-				delete(p.lastRev, pp.id)
-			}
-			p.revMu.Unlock()
+			pp.st.persisted.CompareAndSwap(pp.rev+1, 0)
 			continue
 		}
 		stats.Persisted++
 	}
 	stats.DurationMS = float64(time.Since(start)) / float64(time.Millisecond)
-	p.revMu.Lock()
-	s := stats
-	p.lastPass = &s
-	ids := make([]string, 0, len(p.lastRev))
-	for id := range p.lastRev {
-		ids = append(ids, id)
-	}
-	p.revMu.Unlock()
-	// Prune revision entries for streams that no longer exist:
-	// checkpointStream records a revision after leaving the shard lock,
-	// so it can race a concurrent delete's removal and strand an entry.
-	// The store itself is correct either way (the tombstone is
-	// journaled); this just keeps the map from leaking on delete-heavy
-	// workloads. Membership is checked outside revMu — observer
-	// callbacks take shard-then-revMu, so revMu-then-shard here would
-	// deadlock. Racing a concurrent re-create can at worst drop a live
-	// entry, costing one redundant persist next pass.
-	for _, id := range ids {
-		if _, err := p.reg.Get(id); err != nil {
-			p.revMu.Lock()
-			delete(p.lastRev, id)
-			p.revMu.Unlock()
-		}
-	}
+	p.lastPass.Store(&stats)
 	// Auto-compaction rides the pass boundary, never an individual
 	// journal append — here no registry lock is held, so rewriting the
 	// whole live set stalls nothing but the next pass.
@@ -303,7 +264,7 @@ var (
 // pendingPersist is one enqueued checkpoint delta awaiting its group
 // commit; the pass waits on the ticket after visiting every stream.
 type pendingPersist struct {
-	id  string
+	st  *Stream
 	rev uint64
 	tkt *store.Ticket
 }
@@ -315,25 +276,20 @@ type pendingPersist struct {
 // persist next pass — never a lost one. Running inside Registry.Visit
 // orders the persist strictly against any concurrent delete of the same
 // stream, and the pointer-identity check guards the delete-then-recreate
-// race: Visit resolves the ID fresh, and recording the old stream's
-// revision against a new stream's ID would silently gate the new
-// stream's checkpoints off forever.
+// race: Visit resolves the ID fresh, and writing the dead stream's
+// snapshot under the ID would overwrite the recreated stream's record.
 //
 // Only the enqueue happens under the shard lock (PutAsync returns
 // without any file I/O); the commit itself — the write and fsync — runs
 // on the store's committer goroutine after the lock is gone, so pricing
 // on this shard never stalls behind the disk.
 func (p *Persister) checkpointStream(st *Stream) (pendingPersist, error) {
-	id := st.ID()
 	rev := st.Revision()
-	p.revMu.Lock()
-	last, seen := p.lastRev[id]
-	p.revMu.Unlock()
-	if seen && last == rev {
+	if st.persisted.Load() == rev+1 {
 		return pendingPersist{}, errCheckpointClean
 	}
 	var pp pendingPersist
-	err := p.reg.Visit(id, func(cur *Stream) error {
+	err := p.reg.Visit(st.ID(), func(cur *Stream) error {
 		if cur != st {
 			// The ID now names a different stream (deleted and
 			// recreated mid-pass). Its create event already persisted
@@ -353,16 +309,12 @@ func (p *Persister) checkpointStream(st *Stream) (pendingPersist, error) {
 			}
 			return err
 		}
-		pp = pendingPersist{id: id, rev: rev, tkt: p.st.PutAsync(store.Entry{ID: id, Rev: rev, Env: env})}
-		// Record the revision while the shard lock still pins identity:
-		// written after Visit returns, it could overwrite the lastRev of
-		// a stream deleted and recreated under this ID in the gap. The
+		pp = pendingPersist{st: st, rev: rev, tkt: p.st.PutAsync(store.Entry{ID: st.ID(), Rev: rev, Env: env})}
+		// Record the revision while the shard lock still excludes an
+		// in-place restore, whose persist records a newer revision; the
 		// record is optimistic — the delta is only enqueued — and the
-		// pass deletes it again if the commit fails.
-		//lint:ignore lockdiscipline documented lock order shard → revMu, same as the observer callbacks; revMu is a leaf lock that never calls out
-		p.revMu.Lock()
-		p.lastRev[id] = rev
-		p.revMu.Unlock()
+		// pass undoes it if the commit fails.
+		st.persisted.Store(rev + 1)
 		return nil
 	})
 	return pp, err
@@ -384,36 +336,22 @@ func (p *Persister) persistStream(st *Stream) error {
 	if err := p.st.Put(store.Entry{ID: st.ID(), Rev: rev, Env: env}); err != nil {
 		return err
 	}
-	p.revMu.Lock()
-	p.lastRev[st.ID()] = rev
-	p.revMu.Unlock()
+	st.persisted.Store(rev + 1)
 	return nil
 }
 
 // StreamDeleted journals the tombstone (write-ahead: the stream is
 // removed from the registry only if the tombstone lands).
-func (p *Persister) StreamDeleted(id string) error {
-	if err := p.st.Delete(id); err != nil {
-		return err
-	}
-	//lint:ignore lockdiscipline documented lock order shard → revMu (see the Persister field docs); revMu is a leaf lock that never calls out
-	p.revMu.Lock()
-	delete(p.lastRev, id)
-	p.revMu.Unlock()
-	return nil
-}
+func (p *Persister) StreamDeleted(id string) error { return p.st.Delete(id) }
 
 // Status reports the persistence surface for GET /v1/admin/store.
 func (p *Persister) Status() StoreStatusResponse {
-	p.revMu.Lock()
-	last := p.lastPass
-	p.revMu.Unlock()
 	st := p.st.Stats()
 	resp := StoreStatusResponse{
 		Configured:       true,
 		RecoveredStreams: p.recovered,
 		Store:            &st,
-		LastCheckpoint:   last,
+		LastCheckpoint:   p.lastPass.Load(),
 	}
 	if p.interval > 0 {
 		resp.CheckpointInterval = p.interval.String()

@@ -497,6 +497,42 @@ func TestLifecycleObserverVeto(t *testing.T) {
 	}
 }
 
+// TestCheckpointCommitFailureRetries: a checkpoint pass records a
+// stream's revision as persisted before its commit lands, so a failed
+// commit must undo that record — or the stream's rounds would never be
+// persisted until it saw more traffic.
+func TestCheckpointCommitFailureRetries(t *testing.T) {
+	reg := NewRegistry(2)
+	f := &failingStore{mem: store.NewMem()}
+	p := NewPersister(reg, f, PersistConfig{Interval: -1})
+	reg.SetObserver(p)
+	st, err := reg.Create(CreateStreamRequest{ID: "a", Dim: 2, Horizon: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.Price(linalg.Vector{0.4, 0.6}, 0.1, 1.5); err != nil {
+		t.Fatal(err)
+	}
+	f.fail = true
+	if s := p.Checkpoint(); s.Errors != 1 || s.Persisted != 0 {
+		t.Fatalf("failing pass = %+v, want 1 error and 0 persisted", s)
+	}
+	f.fail = false
+	if s := p.Checkpoint(); s.Persisted != 1 || s.Errors != 0 {
+		t.Fatalf("pass after the failure = %+v, want the stream persisted", s)
+	}
+	if s := p.Checkpoint(); s.SkippedClean != 1 || s.Persisted != 0 {
+		t.Fatalf("idle pass = %+v, want the stream clean", s)
+	}
+	entries, err := f.Load()
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("store entries = %v, %v", entries, err)
+	}
+	if got := entries[0].Env.Linear.Counters.Rounds; got != 1 {
+		t.Fatalf("persisted stream has %d rounds, want 1", got)
+	}
+}
+
 // failingStore is a Store whose writes fail on demand.
 type failingStore struct {
 	mem  *store.Mem
@@ -510,7 +546,7 @@ func (f *failingStore) Put(e store.Entry) error {
 	return f.mem.Put(e)
 }
 
-func (f *failingStore) PutAsync(e store.Entry) *store.Ticket { return f.mem.PutAsync(e) }
+func (f *failingStore) PutAsync(e store.Entry) *store.Ticket { return store.ResolvedTicket(f.Put(e)) }
 
 func (f *failingStore) Delete(id string) error {
 	if f.fail {

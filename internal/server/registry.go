@@ -32,24 +32,18 @@ var (
 )
 
 // Stream is one hosted pricing stream: a concurrency-safe poster of some
-// family plus regret bookkeeping for the rounds whose valuations the
-// server saw.
-//
-// trackMu is the stream's round lock: Price and PriceBatch hold it across
-// the poster round *and* the tracker update, and Snapshot holds it while
-// capturing the poster state, so a snapshot always pairs a poster state
-// with exactly the regret aggregates of the rounds that state reflects.
-// (Lock order is trackMu → poster; nothing holds the poster lock while
-// waiting on trackMu.) Two-phase quote/observe rounds bypass the tracker
-// and therefore the round lock.
+// family, which also keeps the regret bookkeeping of the rounds whose
+// valuations the server saw.
 type Stream struct {
 	id     string
 	family pricing.Family
 	dim    int // input feature dimension
 	poster *pricing.SyncPoster
 
-	trackMu sync.Mutex
-	tracker *pricing.Tracker
+	// persisted is 1 + the poster revision of the stream's last committed
+	// store record, or 0 for none. The Persister reads and writes it to
+	// skip streams that saw no traffic since their last persist.
+	persisted atomic.Uint64
 }
 
 // MaxDim caps both the input feature dimension of a hosted stream and the
@@ -91,11 +85,10 @@ func newStream(req CreateStreamRequest) (*Stream, error) {
 		return nil, err
 	}
 	return &Stream{
-		id:      req.ID,
-		family:  poster.Family(),
-		dim:     req.Dim,
-		poster:  pricing.NewSync(poster),
-		tracker: pricing.NewTracker(false),
+		id:     req.ID,
+		family: poster.Family(),
+		dim:    req.Dim,
+		poster: pricing.NewSync(poster),
 	}, nil
 }
 
@@ -117,18 +110,6 @@ func checkEnvelopeCaps(env *pricing.Envelope) (int, error) {
 	return dim, nil
 }
 
-// restoredTracker rebuilds the regret tracker carried by an envelope. An
-// envelope without tracker state (legacy snapshots, hand-written
-// envelopes) yields a zeroed tracker: regret bookkeeping restarts at the
-// restore point. That reset is part of the restore contract — see the
-// Envelope.Regret docs.
-func restoredTracker(env *pricing.Envelope) (*pricing.Tracker, error) {
-	if env.Regret == nil {
-		return pricing.NewTracker(false), nil
-	}
-	return pricing.RestoreTracker(env.Regret)
-}
-
 // restoredStream rebuilds a stream around a family-tagged snapshot
 // envelope.
 func restoredStream(id string, env *pricing.Envelope) (*Stream, error) {
@@ -139,21 +120,11 @@ func restoredStream(id string, env *pricing.Envelope) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	tracker, err := restoredTracker(env)
+	poster, err := pricing.RestoreSync(env)
 	if err != nil {
 		return nil, err
 	}
-	poster, err := pricing.RestoreEnvelope(env)
-	if err != nil {
-		return nil, err
-	}
-	return &Stream{
-		id:      id,
-		family:  poster.Family(),
-		dim:     dim,
-		poster:  pricing.NewSync(poster),
-		tracker: tracker,
-	}, nil
+	return &Stream{id: id, family: env.Family, dim: dim, poster: poster}, nil
 }
 
 // ID returns the stream's identifier.
@@ -167,37 +138,17 @@ func (st *Stream) Dim() int { return st.dim }
 
 // Price runs one full round atomically against the buyer valuation: the
 // offer is accepted iff price ≤ valuation. The round is recorded in the
-// stream's regret tracker.
+// stream's regret bookkeeping.
 func (st *Stream) Price(features linalg.Vector, reserve, valuation float64) (pricing.Quote, bool, error) {
-	st.trackMu.Lock()
-	defer st.trackMu.Unlock()
-	q, accepted, err := st.poster.PriceRound(features, reserve, func(q pricing.Quote) bool {
-		return pricing.Sold(q.Price, valuation)
-	})
-	if err != nil {
-		return q, accepted, err
-	}
-	st.tracker.Record(valuation, reserve, q)
-	return q, accepted, nil
+	return st.poster.PriceRound(features, reserve, valuation)
 }
 
 // PriceBatch runs len(rounds) full rounds back to back under one
 // acquisition of the stream's lock, accepting each offer iff
-// price ≤ valuations[i]. Successful rounds are recorded in the regret
-// tracker under one tracker-lock acquisition. valuations must align
-// with rounds.
+// price ≤ valuations[i] and recording each successful round in the
+// regret bookkeeping. valuations must align with rounds.
 func (st *Stream) PriceBatch(rounds []pricing.BatchRound, valuations []float64) []pricing.BatchOutcome {
-	st.trackMu.Lock()
-	defer st.trackMu.Unlock()
-	out := st.poster.PriceBatch(rounds, func(i int, q pricing.Quote) bool {
-		return pricing.Sold(q.Price, valuations[i])
-	})
-	for i, o := range out {
-		if o.Err == nil {
-			st.tracker.Record(valuations[i], rounds[i].Reserve, o.Quote)
-		}
-	}
-	return out
+	return st.poster.PriceBatch(rounds, valuations)
 }
 
 // Pending reports whether the stream's two-phase round is awaiting
@@ -216,24 +167,10 @@ func (st *Stream) Observe(accepted bool) error {
 	return st.poster.Observe(accepted)
 }
 
-// Snapshot captures the stream's state in a family-tagged envelope. The
-// envelope carries the regret-tracker aggregates alongside the poster
-// state, so a restore resumes both the mechanism and the stream's
-// bookkeeping. Holding the round lock across both captures makes the
-// pair consistent: every round in the poster counters is also in the
-// regret aggregates and vice versa (two-phase rounds excepted — they
-// never enter the tracker).
-func (st *Stream) Snapshot() (*pricing.Envelope, error) {
-	st.trackMu.Lock()
-	defer st.trackMu.Unlock()
-	env, err := st.poster.SnapshotEnvelope()
-	if err != nil {
-		return nil, err
-	}
-	ts := st.tracker.State()
-	env.Regret = &ts
-	return env, nil
-}
+// Snapshot captures the stream's state in a family-tagged envelope that
+// carries the regret aggregates alongside the poster state, so a restore
+// resumes both the mechanism and the stream's bookkeeping.
+func (st *Stream) Snapshot() (*pricing.Envelope, error) { return st.poster.SnapshotEnvelope() }
 
 // Revision exposes the poster's monotonic mutation counter (one atomic
 // load, never waits on pricing). The background checkpointer compares it
@@ -257,36 +194,23 @@ func (st *Stream) Restore(env *pricing.Envelope) error {
 	if dim != st.dim {
 		return fmt.Errorf("server: snapshot dimension %d, stream dimension %d", dim, st.dim)
 	}
-	tracker, err := restoredTracker(env)
-	if err != nil {
-		return err
-	}
-	// The round lock makes the poster swap and the tracker swap one
-	// atomic step relative to Price/PriceBatch/Snapshot.
-	st.trackMu.Lock()
-	defer st.trackMu.Unlock()
-	if err := st.poster.RestoreEnvelopeSnapshot(env); err != nil {
-		return err
-	}
-	st.tracker = tracker
-	return nil
+	return st.poster.RestoreEnvelopeSnapshot(env)
 }
 
-// Stats reports the poster counters and regret bookkeeping.
+// Stats reports the poster counters and regret bookkeeping, read under
+// one acquisition of the stream's lock.
 func (st *Stream) Stats() StatsResponse {
-	counters := st.poster.Counters()
-	st.trackMu.Lock()
-	reg := RegretStats{
-		Rounds:            st.tracker.Rounds(),
-		CumulativeRegret:  st.tracker.CumulativeRegret(),
-		CumulativeValue:   st.tracker.CumulativeValue(),
-		CumulativeRevenue: st.tracker.CumulativeRevenue(),
-		RegretRatio:       st.tracker.RegretRatio(),
-	}
-	st.trackMu.Unlock()
+	counters, reg := st.poster.Books()
 	return StatsResponse{
 		ID: st.id, Family: string(st.family), Dim: st.dim,
-		Counters: counters, HasCounters: true, Regret: reg,
+		Counters: counters, HasCounters: true,
+		Regret: RegretStats{
+			Rounds:            reg.Regret.N, // one regret sample per recorded round
+			CumulativeRegret:  reg.CumRegret,
+			CumulativeValue:   reg.CumValue,
+			CumulativeRevenue: reg.CumRevenue,
+			RegretRatio:       reg.RegretRatio(),
+		},
 	}
 }
 

@@ -31,7 +31,7 @@ func (o *Online) Add(x float64) {
 	o.n++
 	d := x - o.mean
 	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
+	o.m2 += float64(d * (x - o.mean))
 	if x < o.min {
 		o.min = x
 	}
@@ -214,8 +214,8 @@ func Quantile(xs []float64, q float64) float64 {
 	if lo == hi {
 		return s[lo]
 	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	frac := float64(pos) - float64(lo)
+	return float64(s[lo]*(1-frac)) + float64(s[hi]*frac)
 }
 
 // Histogram buckets xs into k equal-width bins spanning [min, max].

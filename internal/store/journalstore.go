@@ -51,8 +51,6 @@ type JournalConfig struct {
 	Dir string
 	// Fsync selects the flush policy; default FsyncInterval.
 	Fsync FsyncPolicy
-	// SyncEvery is the FsyncInterval flush period; default 100ms.
-	SyncEvery time.Duration
 	// SegmentSize is the active-segment size (bytes) beyond which the
 	// committer rotates to a fresh segment. Default 16 MB; negative
 	// disables rotation (single ever-growing active segment).
@@ -143,9 +141,6 @@ func OpenJournal(cfg JournalConfig) (*Journal, error) {
 	}
 	if _, err := ParseFsyncPolicy(string(cfg.Fsync)); err != nil {
 		return nil, err
-	}
-	if cfg.SyncEvery <= 0 {
-		cfg.SyncEvery = 100 * time.Millisecond
 	}
 	if cfg.SegmentSize == 0 {
 		cfg.SegmentSize = 16 << 20
@@ -342,13 +337,16 @@ func (j *Journal) replaySegment(f *os.File, si *segmentInfo, newest bool) error 
 	return nil
 }
 
-// syncLoop flushes the active segment every SyncEvery while dirty
+// syncEvery is the FsyncInterval flush period.
+const syncEvery = 100 * time.Millisecond
+
+// syncLoop flushes the active segment every syncEvery while dirty
 // (FsyncInterval policy). A failed sync keeps the dirty flag — the flush
 // is retried on the next tick — and is counted in Stats, so a failing
 // disk cannot silently void the policy's bounded-loss promise.
 func (j *Journal) syncLoop() {
 	defer close(j.syncDone)
-	t := time.NewTicker(j.cfg.SyncEvery)
+	t := time.NewTicker(syncEvery)
 	defer t.Stop()
 	for {
 		select {

@@ -26,7 +26,7 @@ func testEnv(t *testing.T, dim int, rounds int) *pricing.Envelope {
 		x[i] = 1 / float64(dim)
 	}
 	for r := 0; r < rounds; r++ {
-		if _, _, err := s.PriceRound(x, 0, func(q pricing.Quote) bool { return q.Price <= 1 }); err != nil {
+		if _, _, err := s.PriceRound(x, 0, 1); err != nil {
 			t.Fatalf("PriceRound: %v", err)
 		}
 	}
