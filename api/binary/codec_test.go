@@ -203,8 +203,8 @@ func TestEncodeRejectsRagged(t *testing.T) {
 			{Features: []float64{1}, Reserve: 0},
 		},
 	}
-	if CanEncodePriceBatch(ragged.Rounds) {
-		t.Error("CanEncodePriceBatch accepted a ragged batch")
+	if canEncodePriceBatch(ragged.Rounds) {
+		t.Error("canEncodePriceBatch accepted a ragged batch")
 	}
 	if _, err := Append(nil, ragged); err == nil {
 		t.Error("Append encoded a ragged batch")
@@ -275,8 +275,8 @@ func TestEncodeRejectsOversizedStreamID(t *testing.T) {
 	m := &api.MultiBatchPriceRequest{
 		Rounds: []api.MultiBatchRound{{StreamID: long, Features: []float64{1}, Reserve: 0}},
 	}
-	if CanEncodeMultiBatch(m.Rounds) {
-		t.Error("CanEncodeMultiBatch accepted a 64KB stream ID")
+	if canEncodeMultiBatch(m.Rounds) {
+		t.Error("canEncodeMultiBatch accepted a 64KB stream ID")
 	}
 	if _, err := Append(nil, m); err == nil {
 		t.Error("Append encoded a 64KB stream ID")

@@ -51,15 +51,6 @@ func appendHeader(buf []byte, kind Kind) []byte {
 // Valuation flag bits shared by the request payloads.
 const flagHasValuation = 1 << 0
 
-// appendValuation writes the presence flag and, when set, the value.
-func appendValuation(buf []byte, v *float64) []byte {
-	if v == nil {
-		return append(buf, 0)
-	}
-	buf = append(buf, flagHasValuation)
-	return appendF64(buf, *v)
-}
-
 // AppendPriceRequest encodes one single-round pricing request
 // (KindPriceRequest). Payload:
 //
@@ -99,10 +90,9 @@ func AppendPriceRequest(buf []byte, req *api.PriceRequest) []byte {
 // Rounds whose feature count differs from rounds[0] cannot be expressed
 // in this frame — encoding such a (server-invalid) batch returns an
 // error; send it as JSON instead, where the server rejects it per-round.
-// The SDK probes CanEncodePriceBatch up front to pick the codec without
-// an error path.
+// The SDK does exactly that: it falls back to JSON when Append fails.
 func AppendPriceBatchRequest(buf []byte, req *api.BatchPriceRequest) ([]byte, error) {
-	if !CanEncodePriceBatch(req.Rounds) {
+	if !canEncodePriceBatch(req.Rounds) {
 		return buf, fmt.Errorf("binary: ragged price batch (rounds differ in feature count) is not expressible in the columnar frame")
 	}
 	buf = appendHeader(buf, KindPriceBatchRequest)
@@ -135,12 +125,9 @@ func AppendPriceBatchRequest(buf []byte, req *api.BatchPriceRequest) ([]byte, er
 	return buf, nil
 }
 
-// CanEncodePriceBatch reports whether the batch is expressible in the
-// columnar frame: every round carries the same feature count. The SDK
-// probes this before choosing the codec so ragged (invalid) batches
-// still reach the server and fail with the same per-round errors JSON
-// produces.
-func CanEncodePriceBatch(rounds []api.BatchPriceRound) bool {
+// canEncodePriceBatch reports whether the batch is expressible in the
+// columnar frame: every round carries the same feature count.
+func canEncodePriceBatch(rounds []api.BatchPriceRound) bool {
 	if len(rounds) == 0 {
 		return true
 	}
@@ -171,7 +158,7 @@ func CanEncodePriceBatch(rounds []api.BatchPriceRound) bool {
 // the uint16 length prefix is an encode error (the server caps IDs far
 // below this).
 func AppendMultiBatchRequest(buf []byte, req *api.MultiBatchPriceRequest) ([]byte, error) {
-	if !CanEncodeMultiBatch(req.Rounds) {
+	if !canEncodeMultiBatch(req.Rounds) {
 		return buf, fmt.Errorf("binary: stream ID exceeds the frame's %d-byte limit", math.MaxUint16)
 	}
 	buf = appendHeader(buf, KindMultiBatchRequest)
@@ -212,11 +199,11 @@ func appendValuationFlag(buf []byte, v *float64) []byte {
 	return append(buf, 0)
 }
 
-// CanEncodeMultiBatch reports whether the batch is expressible in the
+// canEncodeMultiBatch reports whether the batch is expressible in the
 // frame: every stream ID fits the uint16 length prefix. (The server caps
-// IDs well below this; the probe exists so a pathological caller falls
-// back to JSON rather than truncating.)
-func CanEncodeMultiBatch(rounds []api.MultiBatchRound) bool {
+// IDs well below this; the check makes a pathological batch an encode
+// error, on which the SDK falls back to JSON, rather than a truncation.)
+func canEncodeMultiBatch(rounds []api.MultiBatchRound) bool {
 	for i := range rounds {
 		if len(rounds[i].StreamID) > math.MaxUint16 {
 			return false

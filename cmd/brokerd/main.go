@@ -11,16 +11,16 @@
 //	brokerd -addr :8080 -shards 32
 //
 // With -data-dir, streams survive restarts: every create/restore/delete
-// is journaled write-ahead into a segmented WAL, a background
-// checkpointer appends deltas for streams whose state changed, and boot
-// replays the checkpoint plus every WAL segment back into the registry
-// (shards restore in parallel). Concurrent appenders share fsyncs via
-// group commit — each write carries whatever queued while the previous
-// one was on disk — and -segment-size caps individual WAL files so a
-// torn tail only ever costs the newest one:
+// is journaled write-ahead into the WAL, a background checkpointer
+// appends deltas for streams whose state changed, and boot replays the
+// checkpoint plus the WAL back into the registry (shards restore in
+// parallel), truncating a torn tail a crash left. Concurrent appenders
+// share fsyncs via group commit — each write carries whatever queued
+// while the previous one was on disk — and compaction folds the WAL
+// into the checkpoint once it outgrows 64 MiB:
 //
 //	brokerd -addr :8080 -data-dir /var/lib/brokerd \
-//	        -checkpoint-interval 5s -fsync always -segment-size 16777216
+//	        -checkpoint-interval 5s -fsync always
 //
 // The wire contract is the public datamarket/api package and is
 // versioned: GET /v1/version reports it, every non-2xx response carries
@@ -92,18 +92,17 @@ func main() {
 		dataDir = flag.String("data-dir", "", "journal directory for durable streams (empty: in-memory only)")
 		ckptIvl = flag.Duration("checkpoint-interval", server.DefaultCheckpointInterval, "background checkpointer period")
 		fsync   = flag.String("fsync", string(store.FsyncInterval), "journal fsync policy: always, interval, or never")
-		segSize = flag.Int64("segment-size", 0, "WAL segment rotation threshold in bytes (0: default 16MiB, negative: single unbounded segment)")
 		verbose = flag.Bool("verbose", false, "log every request (method, path, status, latency) and checkpoint activity")
 	)
 	flag.Parse()
 
-	if err := run(*addr, *shards, *dataDir, *ckptIvl, *fsync, *segSize, *verbose); err != nil {
+	if err := run(*addr, *shards, *dataDir, *ckptIvl, *fsync, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "brokerd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, shards int, dataDir string, ckptIvl time.Duration, fsync string, segSize int64, verbose bool) error {
+func run(addr string, shards int, dataDir string, ckptIvl time.Duration, fsync string, verbose bool) error {
 	reg := server.NewRegistry(shards)
 	srv := server.NewServer(reg)
 
@@ -113,9 +112,7 @@ func run(addr string, shards int, dataDir string, ckptIvl time.Duration, fsync s
 		if err != nil {
 			return err
 		}
-		st, err := store.OpenJournal(store.JournalConfig{
-			Dir: dataDir, Fsync: policy, SegmentSize: segSize,
-		})
+		st, err := store.OpenJournal(store.JournalConfig{Dir: dataDir, Fsync: policy})
 		if err != nil {
 			return err
 		}

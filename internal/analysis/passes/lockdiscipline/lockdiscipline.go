@@ -26,8 +26,9 @@
 //     the work. The sanctioned shape is the market broker's batch
 //     settle: acquire once, settle every item, release once. The check
 //     is deliberately syntactic (the pair must be direct statements of
-//     the loop body), so helpers that acquire internally — e.g. the
-//     batch fallback path calling Trade per query — are not flagged.
+//     the loop body), so helpers that acquire internally — e.g.
+//     Persister.Checkpoint calling checkpointStream per stream, which
+//     locks inside Registry.Visit — are not flagged.
 //
 // Unlike the other passes, this one resolves interface-method callees:
 // the serving layer talks to the store through the Store interface, so
@@ -356,9 +357,9 @@ func checkMutexCopies(pass *analysis.Pass, pkg *analysis.Package, fd *ast.FuncDe
 // The fix is the batch-settle shape — hoist the Lock above the loop
 // (the one-lock-spanning-many-settles form rule 1 walks without
 // complaint, as long as nothing inside blocks). Only direct statements
-// count: a helper that locks internally (the batch fallback calling
-// Trade per query) makes its own locking decision and is not this
-// loop's churn.
+// count: a helper that locks internally (Persister.Checkpoint calling
+// checkpointStream, which locks inside Registry.Visit) makes its own
+// locking decision and is not this loop's churn.
 func checkLockChurn(pass *analysis.Pass, pkg *analysis.Package, fd *ast.FuncDecl) {
 	info := pkg.TypesInfo
 	ast.Inspect(fd.Body, func(n ast.Node) bool {

@@ -59,7 +59,6 @@ type AvazuStream struct {
 	cfg    AvazuConfig
 	hasher *feature.Hasher
 	truth  linalg.Vector
-	bias   float64
 	rng    *randx.RNG
 	vocab  map[string][]string
 }
@@ -112,15 +111,11 @@ func NewAvazuStream(cfg AvazuConfig) (*AvazuStream, error) {
 		}
 		vocab[f] = vals
 	}
-	return &AvazuStream{cfg: cfg, hasher: h, truth: truth, bias: biasWeight, rng: r, vocab: vocab}, nil
+	return &AvazuStream{cfg: cfg, hasher: h, truth: truth, rng: r, vocab: vocab}, nil
 }
 
 // Truth returns a copy of the hidden weight vector in hashed space.
 func (s *AvazuStream) Truth() linalg.Vector { return s.truth.Clone() }
-
-// Bias returns the hidden intercept, realized as the weight of the bias
-// field's hashed coordinate (already included in Truth).
-func (s *AvazuStream) Bias() float64 { return s.bias }
 
 // Hasher returns the one-hot hashing encoder in use.
 func (s *AvazuStream) Hasher() *feature.Hasher { return s.hasher }

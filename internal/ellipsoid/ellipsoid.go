@@ -101,23 +101,6 @@ func New(shape *linalg.Matrix, center linalg.Vector) (*E, error) {
 	return &E{n: n, a: linalg.NewSym(shape.Symmetrize()), c: center.Clone()}, nil
 }
 
-// FromBox returns the ball enclosing the axis-aligned box Π[lo_i, hi_i]:
-// centered at the origin with radius √Σ max(lo², hi²), matching the paper's
-// initialization R = √Σ max(ℓᵢ², uᵢ²).
-func FromBox(lo, hi linalg.Vector) (*E, error) {
-	if len(lo) != len(hi) {
-		return nil, fmt.Errorf("ellipsoid: box bounds length mismatch %d vs %d", len(lo), len(hi))
-	}
-	var sum float64
-	for i := range lo {
-		if lo[i] > hi[i] {
-			return nil, fmt.Errorf("ellipsoid: box bound %d inverted (%g > %g)", i, lo[i], hi[i])
-		}
-		sum += math.Max(lo[i]*lo[i], hi[i]*hi[i])
-	}
-	return NewBall(len(lo), math.Sqrt(sum))
-}
-
 // Dim returns the ambient dimension n.
 func (e *E) Dim() int { return e.n }
 
@@ -330,32 +313,6 @@ func logUnitBallVolume(n int) float64 {
 
 // UnitBallVolume returns Vₙ, exported for tests and diagnostics.
 func UnitBallVolume(n int) float64 { return math.Exp(logUnitBallVolume(n)) }
-
-// Axes returns the semi-axis lengths √γᵢ(A) in descending order along with
-// the corresponding axis directions (columns of the returned matrix).
-func (e *E) Axes() (lengths linalg.Vector, directions *linalg.Matrix, err error) {
-	vals, vecs, err := linalg.EigenSym(e.a.Dense())
-	if err != nil {
-		return nil, nil, err
-	}
-	lengths = make(linalg.Vector, e.n)
-	for i, v := range vals {
-		if v < 0 {
-			v = 0
-		}
-		lengths[i] = math.Sqrt(v)
-	}
-	return lengths, vecs, nil
-}
-
-// MinAxis returns the semi-length of the narrowest axis, √γₙ(A).
-func (e *E) MinAxis() (float64, error) {
-	lo, err := linalg.SmallestEigenvalueSym(e.a.Dense())
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(math.Max(0, lo)), nil
-}
 
 // Sample returns a point uniformly distributed in E, via the affine image
 // x = c + L·u of a uniform unit-ball point u, where A = L·Lᵀ.

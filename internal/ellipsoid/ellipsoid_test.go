@@ -31,23 +31,6 @@ func TestNewBall(t *testing.T) {
 	}
 }
 
-func TestFromBox(t *testing.T) {
-	e, err := FromBox(linalg.VectorOf(-1, -2), linalg.VectorOf(3, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// R² = max(1,9) + max(4,1) = 13.
-	if got := e.Shape().At(0, 0); math.Abs(got-13) > 1e-12 {
-		t.Fatalf("R² = %v, want 13", got)
-	}
-	if _, err := FromBox(linalg.VectorOf(1), linalg.VectorOf(0)); err == nil {
-		t.Fatal("expected error for inverted bounds")
-	}
-	if _, err := FromBox(linalg.VectorOf(0), linalg.VectorOf(1, 2)); err == nil {
-		t.Fatal("expected error for length mismatch")
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	if _, err := New(linalg.Identity(2), linalg.VectorOf(0)); err == nil {
 		t.Fatal("expected shape/center mismatch error")
@@ -307,28 +290,6 @@ func TestVolumeBall(t *testing.T) {
 	}
 	if !almostEq(UnitBallVolume(3), 4*math.Pi/3, 1e-9) {
 		t.Fatalf("V₃ = %v", UnitBallVolume(3))
-	}
-}
-
-func TestAxes(t *testing.T) {
-	shape := linalg.Diagonal(linalg.VectorOf(9, 4))
-	e, err := New(shape, linalg.VectorOf(0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lengths, _, err := e.Axes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(lengths[0], 3, 1e-9) || !almostEq(lengths[1], 2, 1e-9) {
-		t.Fatalf("axes = %v, want [3 2]", lengths)
-	}
-	m, err := e.MinAxis()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(m, 2, 1e-9) {
-		t.Fatalf("MinAxis = %v", m)
 	}
 }
 

@@ -3,11 +3,10 @@
 //
 //   - §II-B / §V-A: sorted-partition aggregation of per-owner privacy
 //     compensations into an n-dimensional feature vector, L2-normalized;
-//   - §V-B: pandas-style categorical codes and interaction features for
-//     the Airbnb listings;
+//   - §V-B: column standardization of the Airbnb listing features;
 //   - §V-C: one-hot encoding with the hashing trick for the Avazu
-//     categorical fields;
-//   - §II-B: PCA as the alternative dimensionality reduction.
+//     categorical fields, and the "dense case" projection onto the
+//     features with nonzero weights.
 package feature
 
 import (
@@ -130,55 +129,6 @@ func CompensationFeatures(compensations linalg.Vector, n int) (x linalg.Vector, 
 	return x, scale, x.Sum(), nil
 }
 
-// Categorical maps string categories to dense integer codes in first-seen
-// order, mirroring pandas "categoricals" (§V-B). Missing values (empty
-// strings) get the dedicated code for the missing category.
-type Categorical struct {
-	codes  map[string]int
-	labels []string
-}
-
-// MissingLabel is the canonical label used for empty/missing values.
-const MissingLabel = "<missing>"
-
-// NewCategorical returns an empty encoder.
-func NewCategorical() *Categorical {
-	return &Categorical{codes: make(map[string]int)}
-}
-
-// Code returns the integer code for the value, registering it on first
-// sight. Empty strings map to the missing category.
-func (c *Categorical) Code(value string) int {
-	if value == "" {
-		value = MissingLabel
-	}
-	if code, ok := c.codes[value]; ok {
-		return code
-	}
-	code := len(c.labels)
-	c.codes[value] = code
-	c.labels = append(c.labels, value)
-	return code
-}
-
-// Lookup returns the code for a value without registering it; ok is false
-// for unseen values.
-func (c *Categorical) Lookup(value string) (code int, ok bool) {
-	if value == "" {
-		value = MissingLabel
-	}
-	code, ok = c.codes[value]
-	return code, ok
-}
-
-// Cardinality returns the number of distinct categories seen.
-func (c *Categorical) Cardinality() int { return len(c.labels) }
-
-// Labels returns the categories in code order (a copy).
-func (c *Categorical) Labels() []string {
-	return append([]string(nil), c.labels...)
-}
-
 // Hasher one-hot encodes categorical field=value pairs into a fixed
 // dimension via the hashing trick (§V-C): the feature index is
 // FNV64(field ":" value) mod n. Collisions are accepted by design — the
@@ -216,35 +166,6 @@ func (h *Hasher) Encode(pairs map[string]string) linalg.Vector {
 		v[h.Index(field, value)]++
 	}
 	return v
-}
-
-// EncodeOrdered is Encode over an ordered list of field/value pairs, for
-// deterministic iteration in tests.
-func (h *Hasher) EncodeOrdered(fields, values []string) (linalg.Vector, error) {
-	if len(fields) != len(values) {
-		return nil, fmt.Errorf("feature: %d fields for %d values", len(fields), len(values))
-	}
-	v := make(linalg.Vector, h.n)
-	for i, f := range fields {
-		v[h.Index(f, values[i])]++
-	}
-	return v, nil
-}
-
-// Interactions appends pairwise product features x[i]·x[j] for the given
-// index pairs — the paper's "interaction features to enhance model
-// capacity" in the Airbnb pipeline.
-func Interactions(x linalg.Vector, pairs [][2]int) (linalg.Vector, error) {
-	out := make(linalg.Vector, 0, len(x)+len(pairs))
-	out = append(out, x...)
-	for _, p := range pairs {
-		i, j := p[0], p[1]
-		if i < 0 || i >= len(x) || j < 0 || j >= len(x) {
-			return nil, fmt.Errorf("feature: interaction pair (%d,%d) out of range for dim %d", i, j, len(x))
-		}
-		out = append(out, x[i]*x[j])
-	}
-	return out, nil
 }
 
 // Standardizer centers and scales columns to zero mean and unit variance,
@@ -298,6 +219,30 @@ func (s *Standardizer) Transform(x linalg.Vector) (linalg.Vector, error) {
 	out := make(linalg.Vector, len(x))
 	for i, v := range x {
 		out[i] = (v - s.mean[i]) * s.scale[i]
+	}
+	return out, nil
+}
+
+// NonzeroIndices returns the indices where |v[i]| > tol, preserving order.
+func NonzeroIndices(v linalg.Vector, tol float64) []int {
+	var out []int
+	for i, x := range v {
+		if x > tol || x < -tol {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// Project returns the subvector of x at the given indices — the "dense
+// case" reduction of §V-C that keeps only features with nonzero weights.
+func Project(x linalg.Vector, indices []int) (linalg.Vector, error) {
+	out := make(linalg.Vector, len(indices))
+	for k, i := range indices {
+		if i < 0 || i >= len(x) {
+			return nil, fmt.Errorf("feature: projection index %d out of range for dim %d", i, len(x))
+		}
+		out[k] = x[i]
 	}
 	return out, nil
 }

@@ -110,34 +110,6 @@ func TestL2NormalizedAndCompensationFeatures(t *testing.T) {
 	}
 }
 
-func TestCategorical(t *testing.T) {
-	c := NewCategorical()
-	if c.Code("a") != 0 || c.Code("b") != 1 || c.Code("a") != 0 {
-		t.Fatal("codes not stable first-seen order")
-	}
-	if c.Code("") != 2 {
-		t.Fatal("missing value should get its own code")
-	}
-	if c.Cardinality() != 3 {
-		t.Fatalf("cardinality = %d", c.Cardinality())
-	}
-	if code, ok := c.Lookup("b"); !ok || code != 1 {
-		t.Fatalf("lookup b = %d %v", code, ok)
-	}
-	if _, ok := c.Lookup("zzz"); ok {
-		t.Fatal("lookup of unseen value succeeded")
-	}
-	labels := c.Labels()
-	if labels[2] != MissingLabel {
-		t.Fatalf("labels = %v", labels)
-	}
-	// Labels() returns a copy.
-	labels[0] = "mutated"
-	if c.Labels()[0] != "a" {
-		t.Fatal("Labels aliased internal state")
-	}
-}
-
 func TestHasher(t *testing.T) {
 	h, err := NewHasher(64)
 	if err != nil {
@@ -164,33 +136,8 @@ func TestHasher(t *testing.T) {
 	if v.Sum() != 2 {
 		t.Fatalf("encoded mass = %v, want 2", v.Sum())
 	}
-	vo, err := h.EncodeOrdered([]string{"site", "app"}, []string{"abc", "xyz"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vo.Equal(v, 0) {
-		t.Fatal("ordered and map encodings disagree")
-	}
-	if _, err := h.EncodeOrdered([]string{"a"}, nil); err == nil {
-		t.Fatal("expected length mismatch error")
-	}
 	if _, err := NewHasher(0); err == nil {
 		t.Fatal("expected dimension error")
-	}
-}
-
-func TestInteractions(t *testing.T) {
-	x := linalg.VectorOf(2, 3, 5)
-	out, err := Interactions(x, [][2]int{{0, 1}, {1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := linalg.VectorOf(2, 3, 5, 6, 15)
-	if !out.Equal(want, 0) {
-		t.Fatalf("interactions = %v", out)
-	}
-	if _, err := Interactions(x, [][2]int{{0, 9}}); err == nil {
-		t.Fatal("expected range error")
 	}
 }
 
@@ -232,69 +179,8 @@ func TestStandardizer(t *testing.T) {
 	}
 }
 
-func TestPCARecoversDominantDirection(t *testing.T) {
-	// Data varies mostly along (1, 1)/√2.
-	r := randx.New(9)
-	dir := linalg.VectorOf(1, 1)
-	dir.Normalize()
-	var rows []linalg.Vector
-	for i := 0; i < 400; i++ {
-		a := r.Normal(0, 3)
-		b := r.Normal(0, 0.1)
-		rows = append(rows, linalg.VectorOf(a*dir[0]-b*dir[1], a*dir[1]+b*dir[0]))
-	}
-	p, err := FitPCA(rows, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.K() != 1 {
-		t.Fatalf("K = %d", p.K())
-	}
-	ev := p.ExplainedVariance()
-	if ev[0] < 7 || ev[0] > 11 {
-		t.Fatalf("explained variance = %v, want ≈ 9", ev[0])
-	}
-	// The component must align with dir: differencing two transforms
-	// cancels the centering, leaving componentᵀ·dir ≈ ±1.
-	tr1, err := p.Transform(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr0, err := p.Transform(linalg.NewVector(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := math.Abs(tr1[0] - tr0[0]); math.Abs(got-1) > 0.01 {
-		t.Fatalf("|componentᵀ·dir| = %v, want ≈ 1", got)
-	}
-}
-
-func TestPCAErrors(t *testing.T) {
-	rows := []linalg.Vector{linalg.VectorOf(1, 2), linalg.VectorOf(3, 4)}
-	if _, err := FitPCA(rows[:1], 1); err == nil {
-		t.Fatal("expected too-few-rows error")
-	}
-	if _, err := FitPCA(rows, 0); err == nil {
-		t.Fatal("expected k range error")
-	}
-	if _, err := FitPCA(rows, 3); err == nil {
-		t.Fatal("expected k range error")
-	}
-	p, _ := FitPCA(rows, 1)
-	if _, err := p.Transform(linalg.VectorOf(1)); err == nil {
-		t.Fatal("expected dim error")
-	}
-}
-
-func TestTopKAndNonzeroAndProject(t *testing.T) {
+func TestNonzeroAndProject(t *testing.T) {
 	v := linalg.VectorOf(0.1, 5, 0, -3, 2)
-	top := TopKIndices(v, 2)
-	if top[0] != 1 || top[1] != 4 {
-		t.Fatalf("top = %v", top)
-	}
-	if got := TopKIndices(v, 99); len(got) != 5 {
-		t.Fatalf("clamped top len = %d", len(got))
-	}
 	nz := NonzeroIndices(v, 0.5)
 	if len(nz) != 3 || nz[0] != 1 || nz[1] != 3 || nz[2] != 4 {
 		t.Fatalf("nonzero = %v", nz)

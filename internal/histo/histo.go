@@ -4,8 +4,7 @@
 // 0..127 exactly, and each further octave is split into 64 sub-buckets,
 // bounding the relative quantile error at 1/64 (~1.6%) across the full
 // int64 range. Recording is a single atomic increment, so one histogram
-// can be shared by any number of workers; histograms merge losslessly,
-// which lets per-worker instances be combined after a run.
+// can be shared by any number of workers.
 package histo
 
 import (
@@ -136,29 +135,6 @@ func (h *Histogram) Quantile(p float64) int64 {
 		}
 	}
 	return h.max.Load()
-}
-
-// Merge adds o's observations into h. o is read atomically, so merging
-// a histogram that is still being written to yields a valid (if
-// slightly stale) snapshot.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil {
-		return
-	}
-	for i := range o.counts {
-		if c := o.counts[i].Load(); c != 0 {
-			h.counts[i].Add(c)
-		}
-	}
-	h.count.Add(o.count.Load())
-	h.sum.Add(o.sum.Load())
-	om := o.max.Load()
-	for {
-		cur := h.max.Load()
-		if om <= cur || h.max.CompareAndSwap(cur, om) {
-			return
-		}
-	}
 }
 
 // Summary is a JSON-friendly snapshot of a histogram. All value fields

@@ -52,45 +52,6 @@ func TestRelativeErrorLargeValues(t *testing.T) {
 	}
 }
 
-func TestMergeOrderIndependent(t *testing.T) {
-	r := randx.New(7)
-	vals := make([]int64, 3000)
-	for i := range vals {
-		vals[i] = int64(r.Exponential(1.0/50_000) + 1) // latency-shaped, ~50µs mean
-	}
-	// Split the same observations across shards three different ways and
-	// merge in different orders; every aggregate must agree.
-	build := func(order []int) *Histogram {
-		shards := make([]*Histogram, 4)
-		for i := range shards {
-			shards[i] = New()
-		}
-		for i, v := range vals {
-			shards[i%4].Record(v)
-		}
-		agg := New()
-		for _, i := range order {
-			agg.Merge(shards[i])
-		}
-		return agg
-	}
-	direct := New()
-	for _, v := range vals {
-		direct.Record(v)
-	}
-	for _, order := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {2, 0, 3, 1}} {
-		agg := build(order)
-		if agg.Count() != direct.Count() || agg.Sum() != direct.Sum() || agg.Max() != direct.Max() {
-			t.Fatalf("order %v: count/sum/max mismatch", order)
-		}
-		for _, p := range []float64{0.5, 0.9, 0.99, 0.999} {
-			if got, want := agg.Quantile(p), direct.Quantile(p); got != want {
-				t.Errorf("order %v: Quantile(%v) = %d, want %d", order, p, got, want)
-			}
-		}
-	}
-}
-
 func TestConcurrentRecord(t *testing.T) {
 	h := New()
 	var wg sync.WaitGroup

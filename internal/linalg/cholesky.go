@@ -71,8 +71,7 @@ func (c *CholeskyFactor) SolveVec(b Vector) Vector {
 }
 
 // MulVec returns L·v, mapping the unit ball into the ellipsoid with shape
-// L·Lᵀ; it is the sampling primitive used by multivariate normal draws and
-// by ellipsoid rejection sampling.
+// L·Lᵀ; it is the sampling primitive of the ellipsoid's Sample.
 func (c *CholeskyFactor) MulVec(v Vector) Vector {
 	n := c.L.Rows()
 	if len(v) != n {

@@ -157,9 +157,8 @@ func IsPositiveDefinite(a *Matrix) bool {
 }
 
 // PowerIteration approximates the dominant eigenvalue/vector pair of a
-// symmetric PSD matrix; it is used by tests to cross-check Jacobi and by PCA
-// for quick top-component extraction. start must be non-zero; iters bounds
-// the work.
+// symmetric PSD matrix; tests use it to cross-check Jacobi. start must be
+// non-zero; iters bounds the work.
 func PowerIteration(a *Matrix, start Vector, iters int) (float64, Vector) {
 	v := start.Clone()
 	v.Normalize()

@@ -1,15 +1,10 @@
 package pricing
 
-import (
-	"fmt"
-	"math"
-
-	"datamarket/internal/linalg"
-)
+import "datamarket/internal/linalg"
 
 // Poster is the minimal interface shared by all posted-price strategies:
 // the ellipsoid mechanism, the interval mechanism, the nonlinear wrapper,
-// and the baselines below. It lets the experiment harness run any strategy
+// and the baseline below. It lets the experiment harness run any strategy
 // through one loop.
 type Poster interface {
 	// PostPrice returns the quote for a query with feature vector x and
@@ -20,13 +15,11 @@ type Poster interface {
 	Observe(accepted bool) error
 }
 
-// Mechanism, NonlinearMechanism and the baselines all satisfy Poster.
+// Mechanism, NonlinearMechanism and the baseline all satisfy Poster.
 var (
 	_ Poster = (*Mechanism)(nil)
 	_ Poster = (*NonlinearMechanism)(nil)
 	_ Poster = (*RiskAverseBaseline)(nil)
-	_ Poster = (*ClairvoyantPoster)(nil)
-	_ Poster = (*FixedPricePoster)(nil)
 )
 
 // RiskAverseBaseline is the paper's comparison strategy (§V-A, §V-B): it
@@ -61,90 +54,5 @@ func (b *RiskAverseBaseline) Observe(bool) error {
 		return ErrNoPendingRound
 	}
 	b.pending = false
-	return nil
-}
-
-// ClairvoyantPoster posts the true market value (or the reserve if higher),
-// which is the adversary's optimal strategy in the noiseless setting: its
-// regret is identically zero whenever q ≤ v. It provides the revenue
-// ceiling against which regret is defined, and is used in tests.
-type ClairvoyantPoster struct {
-	// Value returns the true market value for a feature vector.
-	Value   func(x linalg.Vector) float64
-	pending bool
-}
-
-// NewClairvoyant builds the oracle strategy around a value function.
-func NewClairvoyant(value func(x linalg.Vector) float64) (*ClairvoyantPoster, error) {
-	if value == nil {
-		return nil, fmt.Errorf("pricing: clairvoyant needs a value function")
-	}
-	return &ClairvoyantPoster{Value: value}, nil
-}
-
-// PostPrice posts max(v, reserve).
-func (c *ClairvoyantPoster) PostPrice(x linalg.Vector, reserve float64) (Quote, error) {
-	if c.pending {
-		return Quote{}, ErrPendingRound
-	}
-	v := c.Value(x)
-	p := math.Max(v, reserve)
-	c.pending = true
-	return Quote{
-		Price:          p,
-		Decision:       DecisionConservative,
-		Lower:          v,
-		Upper:          v,
-		ReserveBinding: reserve > v,
-	}, nil
-}
-
-// Observe discards the feedback.
-func (c *ClairvoyantPoster) Observe(bool) error {
-	if !c.pending {
-		return ErrNoPendingRound
-	}
-	c.pending = false
-	return nil
-}
-
-// FixedPricePoster posts one constant price (floored at the reserve) in
-// every round — the classic identical-product posted price strategy that
-// contextual pricing improves upon; used in ablations.
-type FixedPricePoster struct {
-	price   float64
-	pending bool
-}
-
-// NewFixedPrice builds the constant-price strategy.
-func NewFixedPrice(price float64) (*FixedPricePoster, error) {
-	if math.IsNaN(price) || math.IsInf(price, 0) {
-		return nil, fmt.Errorf("pricing: fixed price must be finite, got %g", price)
-	}
-	return &FixedPricePoster{price: price}, nil
-}
-
-// PostPrice posts max(fixed, reserve).
-func (f *FixedPricePoster) PostPrice(_ linalg.Vector, reserve float64) (Quote, error) {
-	if f.pending {
-		return Quote{}, ErrPendingRound
-	}
-	p := math.Max(f.price, reserve)
-	f.pending = true
-	return Quote{
-		Price:          p,
-		Decision:       DecisionConservative,
-		Lower:          p,
-		Upper:          p,
-		ReserveBinding: reserve > f.price,
-	}, nil
-}
-
-// Observe discards the feedback.
-func (f *FixedPricePoster) Observe(bool) error {
-	if !f.pending {
-		return ErrNoPendingRound
-	}
-	f.pending = false
 	return nil
 }

@@ -52,69 +52,6 @@ func TestRiskAverseRegretIsFullMarkup(t *testing.T) {
 	}
 }
 
-func TestClairvoyantZeroRegret(t *testing.T) {
-	theta := linalg.VectorOf(0.5, 0.5)
-	c, err := NewClairvoyant(func(x linalg.Vector) float64 { return x.Dot(theta) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := NewTracker()
-	r := randx.New(52)
-	for i := 0; i < 300; i++ {
-		x := r.UniformVector(2, 0.1, 1)
-		v := x.Dot(theta)
-		q := 0.5 * v
-		quote, err := c.PostPrice(x, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Observe(Sold(quote.Price, v))
-		tr.Record(v, q, quote)
-	}
-	if tr.CumulativeRegret() > 1e-9 {
-		t.Fatalf("clairvoyant accumulated regret %v", tr.CumulativeRegret())
-	}
-	if _, err := NewClairvoyant(nil); err == nil {
-		t.Fatal("expected error for nil value function")
-	}
-}
-
-func TestClairvoyantHonoursReserve(t *testing.T) {
-	c, _ := NewClairvoyant(func(linalg.Vector) float64 { return 2 })
-	q, err := c.PostPrice(linalg.VectorOf(1), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Price != 5 || !q.ReserveBinding {
-		t.Fatalf("quote = %+v", q)
-	}
-	c.Observe(false)
-}
-
-func TestFixedPricePoster(t *testing.T) {
-	f, err := NewFixedPrice(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := f.PostPrice(linalg.VectorOf(1), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Price != 2 || q.ReserveBinding {
-		t.Fatalf("quote = %+v", q)
-	}
-	f.Observe(true)
-	// Reserve floors the fixed price.
-	q, _ = f.PostPrice(linalg.VectorOf(1), 7)
-	if q.Price != 7 || !q.ReserveBinding {
-		t.Fatalf("quote = %+v", q)
-	}
-	f.Observe(false)
-	if _, err := NewFixedPrice(math.NaN()); err == nil {
-		t.Fatal("expected error for NaN price")
-	}
-}
-
 func TestMechanismBeatsRiskAverseBaseline(t *testing.T) {
 	// The headline comparison of §V-A: the learning mechanism must end up
 	// with a substantially lower regret ratio than always-post-reserve.

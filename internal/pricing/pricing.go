@@ -77,9 +77,6 @@ type Quote struct {
 	ReserveBinding bool
 }
 
-// Width returns the knowledge gap p̄ − p̲ probed this round.
-func (q Quote) Width() float64 { return q.Upper - q.Lower }
-
 // Counters aggregates per-round bookkeeping across a run. The exploratory
 // count is the quantity T_e bounded by Lemmas 6 and 7.
 type Counters struct {
@@ -196,28 +193,6 @@ func New(n int, radius float64, opts ...Option) (*Mechanism, error) {
 		return nil, err
 	}
 	return &Mechanism{n: n, ell: ell, cfg: cfg}, nil
-}
-
-// NewFromBox initializes the knowledge set from the axis-aligned box
-// Π[loᵢ, hiᵢ] on θ*, enclosing it in a ball per the paper's initialization.
-func NewFromBox(lo, hi linalg.Vector, opts ...Option) (*Mechanism, error) {
-	if len(lo) != len(hi) || len(lo) == 0 {
-		return nil, fmt.Errorf("pricing: invalid box bounds (%d vs %d)", len(lo), len(hi))
-	}
-	var sum float64
-	for i := range lo {
-		// Check finiteness per bound: a NaN entry passes lo > hi (all
-		// ordered comparisons with NaN are false) and would turn the
-		// enclosing radius — and the whole knowledge set — into NaN.
-		if math.IsNaN(lo[i]) || math.IsInf(lo[i], 0) || math.IsNaN(hi[i]) || math.IsInf(hi[i], 0) {
-			return nil, fmt.Errorf("pricing: box bound %d not finite [%g, %g]", i, lo[i], hi[i])
-		}
-		if lo[i] > hi[i] {
-			return nil, fmt.Errorf("pricing: inverted box bound at %d", i)
-		}
-		sum += math.Max(lo[i]*lo[i], hi[i]*hi[i])
-	}
-	return New(len(lo), math.Sqrt(sum), opts...)
 }
 
 // Dim returns the feature dimension n.

@@ -84,24 +84,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestNewFromBox(t *testing.T) {
-	m, err := NewFromBox(linalg.VectorOf(-1, -1), linalg.VectorOf(1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Radius = √2: support of e₁ is ±√2.
-	lo, hi := m.ValueBounds(linalg.VectorOf(1, 0))
-	if math.Abs(hi-math.Sqrt2) > 1e-9 || math.Abs(lo+math.Sqrt2) > 1e-9 {
-		t.Fatalf("bounds = [%v, %v]", lo, hi)
-	}
-	if _, err := NewFromBox(linalg.VectorOf(1), linalg.VectorOf(0)); err == nil {
-		t.Fatal("expected inverted bound error")
-	}
-	if _, err := NewFromBox(linalg.VectorOf(1), linalg.VectorOf(1, 2)); err == nil {
-		t.Fatal("expected mismatch error")
-	}
-}
-
 func TestProtocolErrors(t *testing.T) {
 	m, _ := New(2, 1, WithThreshold(0.01))
 	if err := m.Observe(true); err != ErrNoPendingRound {

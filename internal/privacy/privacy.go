@@ -329,6 +329,3 @@ func SupportCompensations(dst linalg.Vector, support []int, leakages linalg.Vect
 	}
 	return dst, nil
 }
-
-// TotalCompensation returns Σπᵢ — the query's reserve price.
-func TotalCompensation(comps linalg.Vector) float64 { return comps.Sum() }

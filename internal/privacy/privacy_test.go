@@ -197,7 +197,7 @@ func TestCompensationsAndTotal(t *testing.T) {
 	if math.Abs(comps[0]-math.Tanh(1)) > 1e-12 || comps[1] != 1 {
 		t.Fatalf("comps = %v", comps)
 	}
-	if got := TotalCompensation(comps); math.Abs(got-(math.Tanh(1)+1)) > 1e-12 {
+	if got := comps.Sum(); math.Abs(got-(math.Tanh(1)+1)) > 1e-12 {
 		t.Fatalf("total = %v", got)
 	}
 	if _, err := Compensations(linalg.VectorOf(1), []Contract{tc, lc}); err == nil {

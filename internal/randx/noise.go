@@ -3,53 +3,7 @@ package randx
 import (
 	"fmt"
 	"math"
-
-	"datamarket/internal/linalg"
 )
-
-// MultivariateNormal samples from N(mean, cov). The covariance is
-// factorized once at construction; each draw costs one matrix-vector
-// product over the Cholesky factor.
-type MultivariateNormal struct {
-	mean linalg.Vector
-	chol *linalg.CholeskyFactor
-}
-
-// NewMultivariateNormal builds a sampler for N(mean, cov); cov must be
-// symmetric positive definite.
-func NewMultivariateNormal(mean linalg.Vector, cov *linalg.Matrix) (*MultivariateNormal, error) {
-	if cov.Rows() != len(mean) || cov.Cols() != len(mean) {
-		return nil, fmt.Errorf("randx: covariance %dx%d does not match mean length %d",
-			cov.Rows(), cov.Cols(), len(mean))
-	}
-	f, err := linalg.Cholesky(cov)
-	if err != nil {
-		return nil, fmt.Errorf("randx: covariance not positive definite: %w", err)
-	}
-	return &MultivariateNormal{mean: mean.Clone(), chol: f}, nil
-}
-
-// NewStandardNormal builds a sampler for N(0, I_n).
-func NewStandardNormal(n int) *MultivariateNormal {
-	f, err := linalg.Cholesky(linalg.Identity(n))
-	if err != nil {
-		panic("randx: identity not PD — unreachable")
-	}
-	return &MultivariateNormal{mean: linalg.NewVector(n), chol: f}
-}
-
-// Dim returns the dimension of the distribution.
-func (m *MultivariateNormal) Dim() int { return len(m.mean) }
-
-// Sample draws one vector.
-func (m *MultivariateNormal) Sample(r *RNG) linalg.Vector {
-	z := r.NormalVector(len(m.mean), 1)
-	x := m.chol.MulVec(z)
-	for i := range x {
-		x[i] += m.mean[i]
-	}
-	return x
-}
 
 // SubGaussianNoise models the market-value uncertainty δ_t of §III-B: a
 // σ-subGaussian random variable. The concrete families the paper cites —
@@ -80,9 +34,6 @@ func NewSubGaussianNoise(kind NoiseKind, sigma float64) (*SubGaussianNoise, erro
 	}
 	return &SubGaussianNoise{kind: kind, sigma: sigma}, nil
 }
-
-// Sigma returns the subGaussian parameter.
-func (s *SubGaussianNoise) Sigma() float64 { return s.sigma }
 
 // Sample draws one noise value.
 func (s *SubGaussianNoise) Sample(r *RNG) float64 {

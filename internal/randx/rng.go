@@ -1,8 +1,8 @@
 // Package randx provides the deterministic random number generation the
 // experiments depend on: a seedable, splittable PCG-style generator and
 // samplers for every distribution the paper draws from — normal, uniform,
-// Laplace, Rademacher, exponential, and multivariate normal — plus helpers
-// for the subGaussian uncertainty model of §III-B.
+// Laplace, Rademacher and exponential — plus helpers for the subGaussian
+// uncertainty model of §III-B.
 //
 // All experiment code takes an explicit *randx.RNG so that every table and
 // figure in EXPERIMENTS.md is reproducible bit-for-bit from a seed.
@@ -98,14 +98,6 @@ func (r *RNG) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle permutes the order of n elements via the provided swap function.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Normal returns a draw from N(mean, std²) via Box-Muller with caching.

@@ -110,24 +110,25 @@ func (m *requestMetrics) snapshot() api.MetricsResponse {
 
 func round3(v float64) float64 { return float64(int64(float64(v*1000)+0.5)) / 1000 }
 
-// withMetrics records per-endpoint counters around the mux. The route
-// pattern is resolved via mux.Handler before serving, so path wildcards
+// withMetrics records per-endpoint counters around the mux. Serving
+// stores the matched route's pattern in r.Pattern, so path wildcards
 // collapse into one metric per route; requests no route accepts (the
-// mux's 404/405) are pooled under "unmatched".
+// mux's 404/405) leave it empty and are pooled under "unmatched".
 func withMetrics(m *requestMetrics, mux *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, pattern := mux.Handler(r)
-		if pattern == "" {
-			pattern = "unmatched"
-		}
 		rec := &statusRecorder{ResponseWriter: w}
 		start := time.Now()
 		mux.ServeHTTP(rec, r)
+		elapsed := time.Since(start)
 		status := rec.status
 		if status == 0 {
 			status = http.StatusOK
 		}
-		m.get(pattern).record(status, time.Since(start))
+		pattern := r.Pattern
+		if pattern == "" {
+			pattern = "unmatched"
+		}
+		m.get(pattern).record(status, elapsed)
 	})
 }
 

@@ -11,7 +11,8 @@ func TestAdminMetrics(t *testing.T) {
 	_, c := newTestServer(t)
 
 	// Traffic mix: 2 creates (one duplicate → 409), 3 prices, one request
-	// no route accepts.
+	// to a path no route has (404) and one with a method its route lacks
+	// (405).
 	create := CreateStreamRequest{ID: "m", Dim: 2, Horizon: 1000}
 	if st := c.do(http.MethodPost, "/v1/streams", create, nil); st != http.StatusCreated {
 		t.Fatalf("create: status %d", st)
@@ -28,6 +29,9 @@ func TestAdminMetrics(t *testing.T) {
 	}
 	if st := c.do(http.MethodGet, "/v1/no/such/route", nil, nil); st != http.StatusNotFound {
 		t.Fatalf("unmatched: status %d", st)
+	}
+	if st := c.do(http.MethodGet, "/v1/streams/m/price", nil, nil); st != http.StatusMethodNotAllowed {
+		t.Fatalf("wrong method: status %d", st)
 	}
 
 	var resp api.MetricsResponse
@@ -78,8 +82,8 @@ func TestAdminMetrics(t *testing.T) {
 	if !ok {
 		t.Fatalf("no unmatched metrics; got %v", byName)
 	}
-	if um.Count != 1 || um.Errors != 1 {
-		t.Errorf("unmatched metrics: count=%d errors=%d, want 1/1", um.Count, um.Errors)
+	if um.Count != 2 || um.Errors != 2 {
+		t.Errorf("unmatched metrics: count=%d errors=%d, want 2/2", um.Count, um.Errors)
 	}
 
 	// The metrics endpoint observes itself on a second scrape.

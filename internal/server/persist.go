@@ -309,7 +309,7 @@ func (p *Persister) checkpointStream(st *Stream) (pendingPersist, error) {
 			}
 			return err
 		}
-		pp = pendingPersist{st: st, rev: rev, tkt: p.st.PutAsync(store.Entry{ID: st.ID(), Rev: rev, Env: env})}
+		pp = pendingPersist{st: st, rev: rev, tkt: p.st.PutAsync(store.Entry{ID: st.ID(), Env: env})}
 		// Record the revision while the shard lock still excludes an
 		// in-place restore, whose persist records a newer revision; the
 		// record is optimistic — the delta is only enqueued — and the
@@ -333,7 +333,7 @@ func (p *Persister) persistStream(st *Stream) error {
 	if err != nil {
 		return err
 	}
-	if err := p.st.Put(store.Entry{ID: st.ID(), Rev: rev, Env: env}); err != nil {
+	if err := p.st.Put(store.Entry{ID: st.ID(), Env: env}); err != nil {
 		return err
 	}
 	st.persisted.Store(rev + 1)

@@ -236,22 +236,19 @@ func TestRestartUnderLoad(t *testing.T) {
 
 // TestKillDuringLoadFsyncAlways simulates kill -9 mid-load under the
 // strictest durability setting: concurrent pricing clients and a
-// checkpointer hammer a journal running -fsync always with aggressive
-// segment rotation, while the data directory is copied file-by-file in
-// segment order. The copy is what a crash leaves behind — retired
-// segments are immutable, only the highest-numbered segment captured
-// can be torn — and it must recover into a registry whose every stream
-// passes the internal-consistency invariants.
+// checkpointer hammer a journal running -fsync always, while the data
+// directory is copied file by file. The copy is what a crash leaves
+// behind — the active segment captured mid-append can be torn — and it
+// must recover into a registry whose every stream passes the
+// internal-consistency invariants.
 func TestKillDuringLoadFsyncAlways(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.OpenJournal(store.JournalConfig{
 		Dir: dir, Fsync: store.FsyncAlways,
-		// Rotate constantly so the snapshot spans many segments, and
-		// never compact: a checkpoint rewrite racing the copy would not
+		// Never compact: a checkpoint rewrite racing the copy would not
 		// be crash-consistent (a real kill -9 can't catch a rename
 		// half-done; a file copy can).
-		SegmentSize: 4 << 10,
-		CompactAt:   -1,
+		CompactAt: -1,
 	})
 	if err != nil {
 		t.Fatalf("OpenJournal: %v", err)
@@ -313,10 +310,8 @@ func TestKillDuringLoadFsyncAlways(t *testing.T) {
 	}
 
 	// The kill: snapshot the data directory while appends are in
-	// flight. ReadDir returns names sorted, which is also segment-index
-	// order (zero-padded), so every segment copied before the last one
-	// was already retired — immutable — when its bytes were read; only
-	// the final, active segment can carry a torn tail in the copy.
+	// flight. With compaction off the directory holds one segment, the
+	// active one, and only it can carry a torn tail in the copy.
 	time.Sleep(20 * time.Millisecond)
 	copyDir := t.TempDir()
 	names, err := os.ReadDir(dir)

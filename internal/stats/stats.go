@@ -1,8 +1,8 @@
 // Package stats provides the descriptive statistics used by the evaluation
-// harness: streaming (Welford) mean/variance accumulators, batch summaries,
-// quantiles, and histograms. Table I of the paper reports per-round means
-// and standard deviations of market value, reserve price, posted price, and
-// regret — the Summary type here is what produces those columns.
+// harness: streaming (Welford) mean/variance accumulators, batch summaries
+// and quantiles. Table I of the paper reports per-round means and standard
+// deviations of market value, reserve price, posted price, and regret — the
+// Summary type here is what produces those columns.
 package stats
 
 import (
@@ -61,14 +61,6 @@ func (o *Online) Variance() float64 {
 	return o.m2 / float64(o.n)
 }
 
-// SampleVariance returns the Bessel-corrected variance.
-func (o *Online) SampleVariance() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n-1)
-}
-
 // Std returns the population standard deviation.
 func (o *Online) Std() float64 { return math.Sqrt(o.Variance()) }
 
@@ -122,28 +114,6 @@ func NewOnlineFromState(s OnlineState) (*Online, error) {
 	}
 	o.n, o.mean, o.m2, o.min, o.max = s.N, s.Mean, s.M2, s.Min, s.Max
 	return o, nil
-}
-
-// Merge folds another accumulator into o (parallel Welford merge).
-func (o *Online) Merge(p *Online) {
-	if p.n == 0 {
-		return
-	}
-	if o.n == 0 {
-		*o = *p
-		return
-	}
-	n := o.n + p.n
-	d := p.mean - o.mean
-	mean := o.mean + d*float64(p.n)/float64(n)
-	m2 := o.m2 + p.m2 + d*d*float64(o.n)*float64(p.n)/float64(n)
-	o.n, o.mean, o.m2 = n, mean, m2
-	if p.min < o.min {
-		o.min = p.min
-	}
-	if p.max > o.max {
-		o.max = p.max
-	}
 }
 
 // Summary is a batch description of a sample.
@@ -216,68 +186,6 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := float64(pos) - float64(lo)
 	return float64(s[lo]*(1-frac)) + float64(s[hi]*frac)
-}
-
-// Histogram buckets xs into k equal-width bins spanning [min, max].
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-}
-
-// NewHistogram builds a k-bin histogram of xs. k must be positive.
-func NewHistogram(xs []float64, k int) (*Histogram, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs positive bin count, got %d", k)
-	}
-	if len(xs) == 0 {
-		return &Histogram{Counts: make([]int, k)}, nil
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, k)}
-	width := (hi - lo) / float64(k)
-	for _, x := range xs {
-		var b int
-		if width > 0 {
-			b = int((x - lo) / width)
-		}
-		if b >= k {
-			b = k - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		h.Counts[b]++
-	}
-	return h, nil
-}
-
-// Total returns the number of observations in the histogram.
-func (h *Histogram) Total() int {
-	var t int
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// CumSum returns the running prefix sums of xs; CumSum(xs)[i] = Σ_{k≤i} xs[k].
-// The regret curves of Fig. 4 are cumulative sums of per-round regrets.
-func CumSum(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	var s float64
-	for i, x := range xs {
-		s += x
-		out[i] = s
-	}
-	return out
 }
 
 // RatioSeries returns num[i]/den[i] with 0 where den[i] == 0; it produces

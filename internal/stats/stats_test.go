@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestOnlineMatchesBatch(t *testing.T) {
@@ -25,9 +24,6 @@ func TestOnlineMatchesBatch(t *testing.T) {
 	if o.Min() != 2 || o.Max() != 9 {
 		t.Fatalf("Min/Max = %v/%v", o.Min(), o.Max())
 	}
-	if math.Abs(o.SampleVariance()-32.0/7) > 1e-12 {
-		t.Fatalf("SampleVariance = %v", o.SampleVariance())
-	}
 }
 
 func TestOnlineEmptyAndSingle(t *testing.T) {
@@ -38,62 +34,6 @@ func TestOnlineEmptyAndSingle(t *testing.T) {
 	o.Add(3)
 	if o.Variance() != 0 || o.Mean() != 3 {
 		t.Fatal("single observation variance must be 0")
-	}
-}
-
-func TestOnlineMerge(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	whole := NewOnline()
-	whole.AddAll(xs)
-	a, b := NewOnline(), NewOnline()
-	a.AddAll(xs[:3])
-	b.AddAll(xs[3:])
-	a.Merge(b)
-	if a.Count() != whole.Count() {
-		t.Fatalf("merged count %d", a.Count())
-	}
-	if math.Abs(a.Mean()-whole.Mean()) > 1e-12 || math.Abs(a.Variance()-whole.Variance()) > 1e-12 {
-		t.Fatalf("merge mismatch: %v/%v vs %v/%v", a.Mean(), a.Variance(), whole.Mean(), whole.Variance())
-	}
-	if a.Min() != 1 || a.Max() != 8 {
-		t.Fatalf("merge min/max %v/%v", a.Min(), a.Max())
-	}
-	// Merging empty is a no-op; merging into empty copies.
-	e := NewOnline()
-	e.Merge(a)
-	if e.Count() != a.Count() || e.Mean() != a.Mean() {
-		t.Fatal("merge into empty failed")
-	}
-	a.Merge(NewOnline())
-	if a.Count() != 8 {
-		t.Fatal("merge of empty changed state")
-	}
-}
-
-// Property: merging any split of a stream equals processing it whole.
-func TestMergeEquivalenceProperty(t *testing.T) {
-	f := func(raw []float64, cut uint8) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				xs = append(xs, math.Mod(x, 1e6))
-			}
-		}
-		if len(xs) < 2 {
-			return true
-		}
-		k := int(cut) % len(xs)
-		whole, a, b := NewOnline(), NewOnline(), NewOnline()
-		whole.AddAll(xs)
-		a.AddAll(xs[:k])
-		b.AddAll(xs[k:])
-		a.Merge(b)
-		scale := math.Max(1, math.Abs(whole.Mean()))
-		return math.Abs(a.Mean()-whole.Mean()) < 1e-8*scale &&
-			math.Abs(a.Variance()-whole.Variance()) < 1e-6*math.Max(1, whole.Variance())
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -128,41 +68,6 @@ func TestQuantile(t *testing.T) {
 	// Input must not be mutated.
 	if xs[0] != 3 {
 		t.Fatal("Quantile mutated input")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram([]float64{0, 0.1, 0.5, 0.9, 1.0}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Total() != 5 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	// Bins are half-open: [0, 0.5) and [0.5, 1.0], so 0.5 falls in bin 1.
-	if h.Counts[0] != 2 || h.Counts[1] != 3 {
-		t.Fatalf("Counts = %v", h.Counts)
-	}
-	if _, err := NewHistogram(nil, 0); err == nil {
-		t.Fatal("expected error for 0 bins")
-	}
-	// Degenerate single-value input lands in one bin.
-	h2, _ := NewHistogram([]float64{5, 5, 5}, 4)
-	if h2.Total() != 3 {
-		t.Fatalf("degenerate Total = %d", h2.Total())
-	}
-}
-
-func TestCumSum(t *testing.T) {
-	got := CumSum([]float64{1, 2, 3})
-	want := []float64{1, 3, 6}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("CumSum = %v", got)
-		}
-	}
-	if len(CumSum(nil)) != 0 {
-		t.Fatal("empty CumSum")
 	}
 }
 

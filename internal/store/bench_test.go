@@ -33,7 +33,7 @@ func BenchmarkJournalPut(b *testing.B) {
 	env := benchEnv(b, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := j.Put(Entry{ID: "s", Rev: uint64(i), Env: env}); err != nil {
+		if err := j.Put(Entry{ID: "s", Env: env}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -49,7 +49,7 @@ func BenchmarkJournalCompact1000(b *testing.B) {
 	defer j.Close()
 	env := benchEnv(b, 16)
 	for i := 0; i < 1000; i++ {
-		if err := j.Put(Entry{ID: fmt.Sprintf("s%04d", i), Rev: 1, Env: env}); err != nil {
+		if err := j.Put(Entry{ID: fmt.Sprintf("s%04d", i), Env: env}); err != nil {
 			b.Fatal(err)
 		}
 	}

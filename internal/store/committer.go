@@ -163,9 +163,6 @@ func (j *Journal) commitBatch() bool {
 		if policy != FsyncAlways {
 			j.dirty = true
 		}
-		if j.cfg.SegmentSize > 0 && j.active.bytes >= j.cfg.SegmentSize && !j.closed {
-			j.rotateLocked()
-		}
 	case rolledBack:
 		commitErr = fmt.Errorf("store: %s journal record(s): %w", cause, ioErr)
 	default:
@@ -196,40 +193,4 @@ func batchBytes(batch []*commitReq) int {
 		n += len(r.frame)
 	}
 	return n
-}
-
-// rotateLocked retires the active segment and opens the next one. The
-// caller must hold j.mu with no batch I/O in flight (it runs on the
-// committer goroutine, which is the only writer). Rotation failures are
-// soft: the journal keeps appending to the oversized active segment and
-// retries at the next batch boundary — durability is never traded for
-// the segment-size housekeeping.
-func (j *Journal) rotateLocked() {
-	if j.cfg.Fsync == FsyncInterval && j.dirty {
-		// Retired segments are never touched again, so the background
-		// sync loop will not flush this one later — flush it now.
-		if err := j.f.Sync(); err != nil {
-			j.syncErrors++
-			return
-		}
-		j.dirty = false
-	}
-	nf, err := createSegment(j.cfg.Dir, j.nextIdx)
-	if err != nil {
-		return
-	}
-	if j.cfg.Fsync != FsyncNever {
-		if err := syncDir(j.cfg.Dir); err != nil {
-			nf.Close()
-			return
-		}
-	}
-	// Close errors on the retired file are ignored: its contents are
-	// already synced as far as the policy promises, and the file is
-	// never written again.
-	j.f.Close()
-	j.retired = append(j.retired, j.active)
-	j.active = segmentInfo{index: j.nextIdx, path: nf.Name()}
-	j.f = nf
-	j.nextIdx++
 }

@@ -88,7 +88,6 @@ type record struct {
 	LSN uint64            `json:"lsn"`
 	Op  string            `json:"op"`
 	ID  string            `json:"id,omitempty"`
-	Rev uint64            `json:"rev,omitempty"`
 	Env *pricing.Envelope `json:"env,omitempty"`
 }
 

@@ -51,18 +51,14 @@ type JournalConfig struct {
 	Dir string
 	// Fsync selects the flush policy; default FsyncInterval.
 	Fsync FsyncPolicy
-	// SegmentSize is the active-segment size (bytes) beyond which the
-	// committer rotates to a fresh segment. Default 16 MB; negative
-	// disables rotation (single ever-growing active segment).
-	SegmentSize int64
 	// CompactAt is the journal-tail size (bytes, summed across segments)
 	// beyond which MaybeCompact compacts. Default 64 MB; negative makes
 	// MaybeCompact a no-op (explicit Compact calls still work).
 	CompactAt int64
 }
 
-// Journal is the on-disk Store: a segmented write-ahead log of
-// CRC-framed records plus a base checkpoint file that compaction
+// Journal is the on-disk Store: a write-ahead log of CRC-framed records
+// in numbered segment files plus a base checkpoint file that compaction
 // rewrites. The full live set is also kept in memory (it must fit
 // anyway — the registry holds live posters for every stream), which
 // makes Load trivial and lets Compact rewrite the checkpoint without
@@ -71,9 +67,10 @@ type JournalConfig struct {
 // Writes go through group commit: appenders enqueue framed records and
 // a single committer goroutine batches them into one write (and, under
 // FsyncAlways, one shared fsync) per batch — see committer.go.
-// The committer also rotates the active segment at SegmentSize
-// boundaries; retired segments are immutable until a compaction folds
-// every segment's records into the base checkpoint and deletes them.
+// Every batch lands in the one active segment; a compaction folds the
+// live set into the base checkpoint, starts a fresh active segment and
+// deletes the old ones (segment.go says when a directory holds more
+// than one).
 //
 // Crash safety: appends are framed, so a crash mid-append leaves a torn
 // tail in the newest segment that the next open detects by CRC and
@@ -141,9 +138,6 @@ func OpenJournal(cfg JournalConfig) (*Journal, error) {
 	}
 	if _, err := ParseFsyncPolicy(string(cfg.Fsync)); err != nil {
 		return nil, err
-	}
-	if cfg.SegmentSize == 0 {
-		cfg.SegmentSize = 16 << 20
 	}
 	if cfg.CompactAt == 0 {
 		cfg.CompactAt = 64 << 20
@@ -224,7 +218,7 @@ func (j *Journal) loadCheckpoint() error {
 		if rec.Op != opPut {
 			return fmt.Errorf("store: checkpoint %s carries a %q record", path, rec.Op)
 		}
-		j.entries[rec.ID] = Entry{ID: rec.ID, Rev: rec.Rev, Env: rec.Env}
+		j.entries[rec.ID] = Entry{ID: rec.ID, Env: rec.Env}
 	}
 	return nil
 }
@@ -317,7 +311,7 @@ func (j *Journal) replaySegment(f *os.File, si *segmentInfo, newest bool) error 
 		}
 		switch rec.Op {
 		case opPut:
-			j.entries[rec.ID] = Entry{ID: rec.ID, Rev: rec.Rev, Env: rec.Env}
+			j.entries[rec.ID] = Entry{ID: rec.ID, Env: rec.Env}
 		case opDel:
 			delete(j.entries, rec.ID)
 		case opCheckpoint:
@@ -412,7 +406,7 @@ func (j *Journal) Put(e Entry) error {
 // tickets afterwards, so the whole pass shares a handful of group
 // commits instead of paying one fsync per stream.
 func (j *Journal) PutAsync(e Entry) *Ticket {
-	return j.putAsync(&record{Op: opPut, ID: e.ID, Rev: e.Rev, Env: e.Env}, e)
+	return j.putAsync(&record{Op: opPut, ID: e.ID, Env: e.Env}, e)
 }
 
 // Delete records that a stream was removed.
@@ -514,7 +508,7 @@ func (j *Journal) compactLocked() error {
 	err = writeRec(&record{LSN: j.lsn, Op: opCheckpoint})
 	if err == nil {
 		for _, e := range sortedEntries(j.entries) {
-			if err = writeRec(&record{LSN: j.lsn, Op: opPut, ID: e.ID, Rev: e.Rev, Env: e.Env}); err != nil {
+			if err = writeRec(&record{LSN: j.lsn, Op: opPut, ID: e.ID, Env: e.Env}); err != nil {
 				break
 			}
 		}

@@ -1,13 +1,16 @@
 package store
 
-// Segment management for the journal backend. The WAL is a sequence of
-// numbered segment files, wal-00000001.seg, wal-00000002.seg, …; the
-// highest-numbered segment is active (appends land there) and the rest
-// are retired — complete, never written again, kept only until a
-// compaction folds their records into the base checkpoint and deletes
-// them. Segment indexes are monotonic for the lifetime of a data
-// directory and never reused, so a crash can never leave two
-// generations of records under one name.
+// Segment management for the journal backend. The WAL lives in numbered
+// segment files, wal-00000001.seg, wal-00000002.seg, …; the
+// highest-numbered segment is active and takes every append until a
+// compaction starts the next one and deletes the rest. A directory holds
+// more than one segment only if a build that rotated segments by size
+// wrote it, or if a crash hit a compaction between creating the fresh
+// segment and deleting the old ones. The lower-numbered segments are
+// retired: complete, replayed oldest-first, never written again, and
+// deleted by the next compaction. Segment indexes are monotonic for the
+// lifetime of a data directory and never reused, so a crash can never
+// leave two generations of records under one name.
 //
 // Torn-tail repair is a per-segment affair with a strict rule: only the
 // newest segment may carry a torn tail, because only the newest segment

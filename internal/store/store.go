@@ -10,10 +10,11 @@
 // streams, and to read the surviving set back after a crash.
 //
 // Two backends ship: Mem, an in-memory map for tests and embedders that
-// want the lifecycle plumbing without disk, and Journal, a segmented
-// write-ahead log of CRC-framed records with group commit, incremental
-// delta checkpoints, checkpoint compaction at segment-retirement
-// boundaries, and a configurable fsync policy.
+// want the lifecycle plumbing without disk, and Journal, a write-ahead
+// log of CRC-framed records with group commit, incremental delta
+// checkpoints, compaction into a base checkpoint, and a configurable
+// fsync policy. The log's one active segment file takes every append
+// until a compaction folds it into the checkpoint and starts the next.
 package store
 
 import (
@@ -24,14 +25,12 @@ import (
 	"datamarket/internal/pricing"
 )
 
-// Entry is one persisted stream: its registry ID, the poster's monotonic
-// revision at capture time, and the family-tagged snapshot envelope
-// (which carries the regret-tracker aggregates alongside the mechanism
-// state). The envelope is owned by the store once passed to Put; callers
-// must not mutate it afterwards.
+// Entry is one persisted stream: its registry ID and the family-tagged
+// snapshot envelope (which carries the regret-tracker aggregates
+// alongside the mechanism state). The envelope is owned by the store
+// once passed to Put; callers must not mutate it afterwards.
 type Entry struct {
 	ID  string            `json:"id"`
-	Rev uint64            `json:"rev"`
 	Env *pricing.Envelope `json:"env"`
 }
 

@@ -51,6 +51,16 @@ func newestSegment(t *testing.T, dir string) string {
 	return segs[len(segs)-1].path
 }
 
+// rounds reports how many rounds the entry's linear envelope had priced
+// — testEnv's rounds argument, which the tests use to tell versions of
+// one stream apart.
+func rounds(e Entry) int {
+	if e.Env == nil || e.Env.Linear == nil {
+		return -1
+	}
+	return e.Env.Linear.Counters.Rounds
+}
+
 func loadMap(t *testing.T, s Store) map[string]Entry {
 	t.Helper()
 	entries, err := s.Load()
@@ -66,18 +76,18 @@ func loadMap(t *testing.T, s Store) map[string]Entry {
 
 func TestMemStoreLifecycle(t *testing.T) {
 	m := NewMem()
-	if err := m.Put(Entry{ID: "a", Rev: 1, Env: testEnv(t, 2, 1)}); err != nil {
+	if err := m.Put(Entry{ID: "a", Env: testEnv(t, 2, 1)}); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	if err := m.Put(Entry{ID: "b", Rev: 3, Env: testEnv(t, 2, 2)}); err != nil {
+	if err := m.Put(Entry{ID: "b", Env: testEnv(t, 2, 2)}); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	if err := m.Delete("a"); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	got := loadMap(t, m)
-	if len(got) != 1 || got["b"].Rev != 3 {
-		t.Fatalf("live set = %v, want only b@3", got)
+	if len(got) != 1 || rounds(got["b"]) != 2 {
+		t.Fatalf("live set = %v, want only b@2", got)
 	}
 	if st := m.Stats(); st.Backend != "mem" || st.Entries != 1 || st.Appends != 3 {
 		t.Fatalf("Stats = %+v", st)
@@ -136,14 +146,14 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenJournal: %v", err)
 	}
-	envA, envB := testEnv(t, 3, 5), testEnv(t, 2, 0)
-	if err := j.Put(Entry{ID: "a", Rev: 5, Env: envA}); err != nil {
+	envA, envB, envA2 := testEnv(t, 3, 5), testEnv(t, 2, 0), testEnv(t, 3, 7)
+	if err := j.Put(Entry{ID: "a", Env: envA}); err != nil {
 		t.Fatalf("Put a: %v", err)
 	}
-	if err := j.Put(Entry{ID: "b", Rev: 0, Env: envB}); err != nil {
+	if err := j.Put(Entry{ID: "b", Env: envB}); err != nil {
 		t.Fatalf("Put b: %v", err)
 	}
-	if err := j.Put(Entry{ID: "a", Rev: 7, Env: envA}); err != nil {
+	if err := j.Put(Entry{ID: "a", Env: envA2}); err != nil {
 		t.Fatalf("Put a again: %v", err)
 	}
 	if err := j.Delete("b"); err != nil {
@@ -163,9 +173,9 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("live set has %d entries, want 1", len(got))
 	}
 	e := got["a"]
-	if e.Rev != 7 || !reflect.DeepEqual(e.Env, envA) {
-		t.Fatalf("entry a = rev %d (env equal: %v), want rev 7 with identical envelope",
-			e.Rev, reflect.DeepEqual(e.Env, envA))
+	if rounds(e) != 7 || !reflect.DeepEqual(e.Env, envA2) {
+		t.Fatalf("entry a = %d rounds (env equal: %v), want the second put's identical envelope",
+			rounds(e), reflect.DeepEqual(e.Env, envA2))
 	}
 	st := j2.Stats()
 	if st.TornTailRepaired {
@@ -182,7 +192,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenJournal: %v", err)
 	}
-	if err := j.Put(Entry{ID: "a", Rev: 1, Env: testEnv(t, 2, 3)}); err != nil {
+	if err := j.Put(Entry{ID: "a", Env: testEnv(t, 2, 3)}); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	if err := j.Close(); err != nil {
@@ -207,11 +217,11 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	if st := j2.Stats(); !st.TornTailRepaired {
 		t.Fatalf("Stats = %+v, want TornTailRepaired", st)
 	}
-	if got := loadMap(t, j2); len(got) != 1 || got["a"].Rev != 1 {
-		t.Fatalf("live set = %v, want a@1", got)
+	if got := loadMap(t, j2); len(got) != 1 || rounds(got["a"]) != 3 {
+		t.Fatalf("live set = %v, want a@3", got)
 	}
 	// The tail was truncated, so appends land on a clean boundary.
-	if err := j2.Put(Entry{ID: "b", Rev: 2, Env: testEnv(t, 2, 0)}); err != nil {
+	if err := j2.Put(Entry{ID: "b", Env: testEnv(t, 2, 0)}); err != nil {
 		t.Fatalf("Put after repair: %v", err)
 	}
 	if err := j2.Close(); err != nil {
@@ -237,7 +247,7 @@ func TestJournalCompaction(t *testing.T) {
 		t.Fatalf("OpenJournal: %v", err)
 	}
 	for _, id := range []string{"a", "b", "c"} {
-		if err := j.Put(Entry{ID: id, Rev: 1, Env: testEnv(t, 2, 1)}); err != nil {
+		if err := j.Put(Entry{ID: id, Env: testEnv(t, 2, 1)}); err != nil {
 			t.Fatalf("Put %s: %v", id, err)
 		}
 	}
@@ -252,7 +262,7 @@ func TestJournalCompaction(t *testing.T) {
 		t.Fatalf("post-compact Stats = %+v", st)
 	}
 	// Post-compaction appends replay on top of the checkpoint.
-	if err := j.Put(Entry{ID: "d", Rev: 9, Env: testEnv(t, 2, 2)}); err != nil {
+	if err := j.Put(Entry{ID: "d", Env: testEnv(t, 2, 2)}); err != nil {
 		t.Fatalf("Put d: %v", err)
 	}
 	if err := j.Close(); err != nil {
@@ -264,8 +274,8 @@ func TestJournalCompaction(t *testing.T) {
 	}
 	defer j2.Close()
 	got := loadMap(t, j2)
-	if len(got) != 3 || got["d"].Rev != 9 {
-		t.Fatalf("live set = %v, want a, b, d@9", got)
+	if len(got) != 3 || rounds(got["d"]) != 2 {
+		t.Fatalf("live set = %v, want a, b, d@2", got)
 	}
 }
 
@@ -278,7 +288,7 @@ func TestJournalLSNGateSkipsStaleRecords(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenJournal: %v", err)
 	}
-	if err := j.Put(Entry{ID: "a", Rev: 1, Env: testEnv(t, 2, 1)}); err != nil {
+	if err := j.Put(Entry{ID: "a", Env: testEnv(t, 2, 1)}); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	if err := j.Close(); err != nil {
@@ -294,8 +304,8 @@ func TestJournalLSNGateSkipsStaleRecords(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	if err := j.Put(Entry{ID: "a", Rev: 2, Env: testEnv(t, 2, 4)}); err != nil {
-		t.Fatalf("Put rev 2: %v", err)
+	if err := j.Put(Entry{ID: "a", Env: testEnv(t, 2, 4)}); err != nil {
+		t.Fatalf("Put a@4: %v", err)
 	}
 	if err := j.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
@@ -305,7 +315,7 @@ func TestJournalLSNGateSkipsStaleRecords(t *testing.T) {
 	}
 
 	// "Lose" the segment removal: resurrect the pre-compaction segment
-	// whose record (a@rev1, LSN 1) is covered by the checkpoint (LSN 2).
+	// whose record (a@1, LSN 1) is covered by the checkpoint (LSN 2).
 	// It comes back as a retired segment behind the fresh active one.
 	if err := os.WriteFile(stalePath, stale, 0o644); err != nil {
 		t.Fatalf("restore stale segment: %v", err)
@@ -315,8 +325,8 @@ func TestJournalLSNGateSkipsStaleRecords(t *testing.T) {
 		t.Fatalf("reopen with stale journal: %v", err)
 	}
 	defer j2.Close()
-	if got := loadMap(t, j2); got["a"].Rev != 2 {
-		t.Fatalf("entry a = rev %d, want checkpointed rev 2 (stale journal record must be LSN-gated)", got["a"].Rev)
+	if got := loadMap(t, j2); rounds(got["a"]) != 4 {
+		t.Fatalf("entry a = %d rounds, want the checkpointed a@4 (stale journal record must be LSN-gated)", rounds(got["a"]))
 	}
 }
 
@@ -331,7 +341,7 @@ func TestJournalMaybeCompact(t *testing.T) {
 		t.Fatalf("MaybeCompact on empty journal = %v, %v", compacted, err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := j.Put(Entry{ID: "s", Rev: uint64(i), Env: testEnv(t, 2, i)}); err != nil {
+		if err := j.Put(Entry{ID: "s", Env: testEnv(t, 2, i)}); err != nil {
 			t.Fatalf("Put %d: %v", i, err)
 		}
 	}
@@ -349,7 +359,7 @@ func TestJournalMaybeCompact(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer j2.Close()
-	if got := loadMap(t, j2); len(got) != 1 || got["s"].Rev != 3 {
+	if got := loadMap(t, j2); len(got) != 1 || rounds(got["s"]) != 3 {
 		t.Fatalf("live set = %v, want s@3", got)
 	}
 }
@@ -363,16 +373,16 @@ func TestJournalBrokenAfterUnrecoverableAppend(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenJournal: %v", err)
 	}
-	if err := j.Put(Entry{ID: "a", Rev: 1, Env: testEnv(t, 2, 1)}); err != nil {
+	if err := j.Put(Entry{ID: "a", Env: testEnv(t, 2, 1)}); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	// Sabotage the file descriptor: the next write *and* the rollback
 	// truncate both fail.
 	j.f.Close()
-	if err := j.Put(Entry{ID: "b", Rev: 1, Env: testEnv(t, 2, 0)}); err == nil {
+	if err := j.Put(Entry{ID: "b", Env: testEnv(t, 2, 0)}); err == nil {
 		t.Fatal("Put succeeded on a closed journal file")
 	}
-	if err := j.Put(Entry{ID: "c", Rev: 1, Env: testEnv(t, 2, 0)}); err == nil {
+	if err := j.Put(Entry{ID: "c", Env: testEnv(t, 2, 0)}); err == nil {
 		t.Fatal("journal accepted an append after an unrecoverable failure")
 	}
 	// Compaction replaces every segment file wholesale, so it clears the
@@ -381,7 +391,7 @@ func TestJournalBrokenAfterUnrecoverableAppend(t *testing.T) {
 	if err := j.Compact(); err != nil {
 		t.Fatalf("Compact on broken journal: %v", err)
 	}
-	if err := j.Put(Entry{ID: "d", Rev: 1, Env: testEnv(t, 2, 0)}); err != nil {
+	if err := j.Put(Entry{ID: "d", Env: testEnv(t, 2, 0)}); err != nil {
 		t.Fatalf("Put after compaction cleared the latch: %v", err)
 	}
 	got := loadMap(t, j)
@@ -393,38 +403,79 @@ func TestJournalBrokenAfterUnrecoverableAppend(t *testing.T) {
 	}
 }
 
-// TestJournalSegmentRotation: a tiny SegmentSize forces a rotation after
-// every commit; the record stream must survive replay across segment
-// boundaries and compaction must collapse the chain to one fresh segment.
-func TestJournalSegmentRotation(t *testing.T) {
-	dir := t.TempDir()
-	j, err := OpenJournal(JournalConfig{Dir: dir, Fsync: FsyncNever, SegmentSize: 1})
+// openSegmented runs each op in a segment of its own, the layout that
+// builds which rotated segments by size left behind (one rotation per
+// commit): after each op it closes the journal and creates the next
+// segment, which the reopen makes the active one. It returns the journal
+// reopened on the last, still empty segment.
+func openSegmented(t *testing.T, dir string, ops ...func(j *Journal) error) *Journal {
+	t.Helper()
+	j, err := OpenJournal(JournalConfig{Dir: dir, Fsync: FsyncNever})
 	if err != nil {
 		t.Fatalf("OpenJournal: %v", err)
 	}
-	for i, id := range []string{"a", "b", "c", "a"} {
-		if err := j.Put(Entry{ID: id, Rev: uint64(i + 1), Env: testEnv(t, 2, i)}); err != nil {
-			t.Fatalf("Put %s: %v", id, err)
+	for i, op := range ops {
+		if err := op(j); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		segs, err := listSegments(dir)
+		if err != nil {
+			t.Fatalf("listSegments: %v", err)
+		}
+		f, err := createSegment(dir, segs[len(segs)-1].index+1)
+		if err != nil {
+			t.Fatalf("createSegment: %v", err)
+		}
+		f.Close()
+		if j, err = OpenJournal(JournalConfig{Dir: dir, Fsync: FsyncNever}); err != nil {
+			t.Fatalf("reopen: %v", err)
 		}
 	}
+	return j
+}
+
+// put returns an openSegmented op that records id at the given rounds.
+func put(t *testing.T, id string, r int) func(j *Journal) error {
+	env := testEnv(t, 2, r)
+	return func(j *Journal) error { return j.Put(Entry{ID: id, Env: env}) }
+}
+
+// TestJournalSegmentRotation: a directory with one record per segment
+// must replay across segment boundaries, appends must go to the newest
+// segment without opening another, and compaction must collapse the
+// chain to one fresh segment.
+func TestJournalSegmentRotation(t *testing.T) {
+	dir := t.TempDir()
+	j := openSegmented(t, dir, put(t, "a", 0), put(t, "b", 1), put(t, "c", 2), put(t, "a", 3))
 	if st := j.Stats(); st.Segments != 5 {
-		t.Fatalf("Segments = %d after 4 rotating commits, want 5 (4 retired + active)", st.Segments)
+		t.Fatalf("Segments = %d after 4 one-commit segments, want 5 (4 retired + active)", st.Segments)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 
-	j2, err := OpenJournal(JournalConfig{Dir: dir, Fsync: FsyncNever, SegmentSize: 1})
+	j2, err := OpenJournal(JournalConfig{Dir: dir, Fsync: FsyncNever})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	got := loadMap(t, j2)
-	if len(got) != 3 || got["a"].Rev != 4 {
-		t.Fatalf("live set = %v, want a@4, b@2, c@3", got)
+	if len(got) != 3 || rounds(got["a"]) != 3 {
+		t.Fatalf("live set = %v, want a@3, b@1, c@2", got)
 	}
 	st := j2.Stats()
 	if st.Segments != 5 || st.LastLSN != 4 {
 		t.Fatalf("post-replay Stats = %+v, want 5 segments at LSN 4", st)
+	}
+	for i := 0; i < 3; i++ {
+		if err := j2.Put(Entry{ID: "e", Env: testEnv(t, 2, i)}); err != nil {
+			t.Fatalf("Put e: %v", err)
+		}
+	}
+	if st := j2.Stats(); st.Segments != 5 {
+		t.Fatalf("Segments = %d after 3 more commits, want the same 5", st.Segments)
 	}
 	if err := j2.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
@@ -444,21 +495,15 @@ func TestJournalSegmentRotation(t *testing.T) {
 	}
 }
 
-// TestJournalCrashMidRotation covers the crash windows around segment
-// rotation: an empty just-created segment, a torn tail in the newest
-// segment (repaired), and a torn frame in a retired segment (corruption —
-// the open must fail rather than silently drop records behind the hole).
+// TestJournalCrashMidRotation covers the crash windows a directory of
+// several segments can show, whether an older build's rotation or a
+// crash mid-compaction left it: an empty just-created segment, a torn
+// tail in the newest segment (repaired), and a torn frame in a retired
+// segment (corruption — the open must fail rather than silently drop
+// records behind the hole).
 func TestJournalCrashMidRotation(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(JournalConfig{Dir: dir, Fsync: FsyncNever, SegmentSize: 1})
-	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
-	}
-	for i, id := range []string{"a", "b", "c"} {
-		if err := j.Put(Entry{ID: id, Rev: uint64(i + 1), Env: testEnv(t, 2, i)}); err != nil {
-			t.Fatalf("Put %s: %v", id, err)
-		}
-	}
+	j := openSegmented(t, dir, put(t, "a", 0), put(t, "b", 1), put(t, "c", 2))
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -470,7 +515,7 @@ func TestJournalCrashMidRotation(t *testing.T) {
 	} else {
 		f.Close()
 	}
-	j2, err := OpenJournal(JournalConfig{Dir: dir, Fsync: FsyncNever, SegmentSize: 1})
+	j2, err := OpenJournal(JournalConfig{Dir: dir, Fsync: FsyncNever})
 	if err != nil {
 		t.Fatalf("reopen with empty newest segment: %v", err)
 	}
@@ -478,15 +523,14 @@ func TestJournalCrashMidRotation(t *testing.T) {
 		t.Fatal("empty newest segment misreported as torn")
 	}
 	// Put lands in the empty newest segment, which became active.
-	if err := j2.Put(Entry{ID: "d", Rev: 4, Env: testEnv(t, 2, 0)}); err != nil {
+	if err := j2.Put(Entry{ID: "d", Env: testEnv(t, 2, 4)}); err != nil {
 		t.Fatalf("Put after empty-segment recovery: %v", err)
 	}
 	if err := j2.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 
-	// Crash mid-append after the rotation: torn tail in the newest
-	// segment is repaired...
+	// Crash mid-append: torn tail in the newest segment is repaired...
 	tornPath := newestSegment(t, dir)
 	if err := appendGarbage(tornPath); err != nil {
 		t.Fatalf("append garbage: %v", err)
@@ -498,7 +542,7 @@ func TestJournalCrashMidRotation(t *testing.T) {
 	if st := j3.Stats(); !st.TornTailRepaired {
 		t.Fatalf("Stats = %+v, want TornTailRepaired", st)
 	}
-	if got := loadMap(t, j3); len(got) != 4 || got["d"].Rev != 4 {
+	if got := loadMap(t, j3); len(got) != 4 || rounds(got["d"]) != 4 {
 		t.Fatalf("live set = %v, want a, b, c, d@4", got)
 	}
 	if err := j3.Close(); err != nil {
@@ -538,23 +582,14 @@ func appendGarbage(path string) error {
 // deletion must not be resurrected by any earlier delta.
 func TestJournalDeltaSupersession(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(JournalConfig{Dir: dir, Fsync: FsyncNever, SegmentSize: 1})
-	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
-	}
-	// Each op lands in its own segment (SegmentSize: 1 rotates per commit).
-	steps := []func() error{
-		func() error { return j.Put(Entry{ID: "a", Rev: 1, Env: testEnv(t, 2, 1)}) },
-		func() error { return j.Put(Entry{ID: "b", Rev: 1, Env: testEnv(t, 2, 1)}) },
-		func() error { return j.Put(Entry{ID: "a", Rev: 2, Env: testEnv(t, 2, 2)}) },
-		func() error { return j.Delete("b") },
-		func() error { return j.Put(Entry{ID: "a", Rev: 3, Env: testEnv(t, 2, 3)}) },
-	}
-	for i, step := range steps {
-		if err := step(); err != nil {
-			t.Fatalf("step %d: %v", i, err)
-		}
-	}
+	// Each op lands in its own segment.
+	j := openSegmented(t, dir,
+		put(t, "a", 1),
+		put(t, "b", 1),
+		put(t, "a", 2),
+		func(j *Journal) error { return j.Delete("b") },
+		put(t, "a", 3),
+	)
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -563,7 +598,7 @@ func TestJournalDeltaSupersession(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	got := loadMap(t, j2)
-	if len(got) != 1 || got["a"].Rev != 3 {
+	if len(got) != 1 || rounds(got["a"]) != 3 {
 		t.Fatalf("live set = %v, want only a@3 (stale deltas superseded, b not resurrected)", got)
 	}
 	// Compaction folds the surviving deltas into the base checkpoint; the
@@ -579,7 +614,7 @@ func TestJournalDeltaSupersession(t *testing.T) {
 		t.Fatalf("reopen after compaction: %v", err)
 	}
 	defer j3.Close()
-	if got := loadMap(t, j3); len(got) != 1 || got["a"].Rev != 3 {
+	if got := loadMap(t, j3); len(got) != 1 || rounds(got["a"]) != 3 {
 		t.Fatalf("post-compaction live set = %v, want only a@3", got)
 	}
 }
@@ -594,7 +629,10 @@ func TestJournalGroupCommitSharesFsyncs(t *testing.T) {
 		t.Fatalf("OpenJournal: %v", err)
 	}
 	const workers, perWorker = 16, 8
-	env := testEnv(t, 2, 1)
+	envs := make([]*pricing.Envelope, perWorker+1)
+	for i := 1; i <= perWorker; i++ {
+		envs[i] = testEnv(t, 2, i)
+	}
 	errs := make(chan error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -602,7 +640,7 @@ func TestJournalGroupCommitSharesFsyncs(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 1; i <= perWorker; i++ {
-				if err := j.Put(Entry{ID: fmt.Sprintf("s%02d", w), Rev: uint64(i), Env: env}); err != nil {
+				if err := j.Put(Entry{ID: fmt.Sprintf("s%02d", w), Env: envs[i]}); err != nil {
 					errs <- err
 					return
 				}
@@ -634,8 +672,8 @@ func TestJournalGroupCommitSharesFsyncs(t *testing.T) {
 		t.Fatalf("live set has %d entries, want %d", len(got), workers)
 	}
 	for w := 0; w < workers; w++ {
-		if got[fmt.Sprintf("s%02d", w)].Rev != perWorker {
-			t.Fatalf("stream s%02d = %+v, want rev %d", w, got[fmt.Sprintf("s%02d", w)], perWorker)
+		if e := got[fmt.Sprintf("s%02d", w)]; rounds(e) != perWorker {
+			t.Fatalf("stream s%02d = %d rounds, want its last put's %d", w, rounds(e), perWorker)
 		}
 	}
 }
@@ -652,7 +690,7 @@ func TestJournalPutAsyncTickets(t *testing.T) {
 	}
 	var tickets []*Ticket
 	for i := 1; i <= 5; i++ {
-		tickets = append(tickets, j.PutAsync(Entry{ID: "a", Rev: uint64(i), Env: testEnv(t, 2, i)}))
+		tickets = append(tickets, j.PutAsync(Entry{ID: "a", Env: testEnv(t, 2, i)}))
 	}
 	for i, tk := range tickets {
 		if err := tk.Wait(); err != nil {
@@ -662,18 +700,18 @@ func TestJournalPutAsyncTickets(t *testing.T) {
 			t.Fatalf("ticket %d second Wait: %v", i, err)
 		}
 	}
-	if got := loadMap(t, j); len(got) != 1 || got["a"].Rev != 5 {
+	if got := loadMap(t, j); len(got) != 1 || rounds(got["a"]) != 5 {
 		t.Fatalf("live set = %v, want a@5", got)
 	}
 	// Records enqueued but not yet waited on are drained by Close.
-	drained := j.PutAsync(Entry{ID: "a", Rev: 6, Env: testEnv(t, 2, 0)})
+	drained := j.PutAsync(Entry{ID: "a", Env: testEnv(t, 2, 6)})
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	if err := drained.Wait(); err != nil {
 		t.Fatalf("ticket enqueued before Close: %v", err)
 	}
-	if err := j.PutAsync(Entry{ID: "a", Rev: 7, Env: testEnv(t, 2, 0)}).Wait(); err != ErrClosed {
+	if err := j.PutAsync(Entry{ID: "a", Env: testEnv(t, 2, 7)}).Wait(); err != ErrClosed {
 		t.Fatalf("PutAsync after Close = %v, want ErrClosed", err)
 	}
 	j2, err := OpenJournal(JournalConfig{Dir: dir})
@@ -681,7 +719,7 @@ func TestJournalPutAsyncTickets(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer j2.Close()
-	if got := loadMap(t, j2); got["a"].Rev != 6 {
+	if got := loadMap(t, j2); rounds(got["a"]) != 6 {
 		t.Fatalf("live set = %v, want the drained a@6", got)
 	}
 }
