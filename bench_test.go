@@ -10,8 +10,7 @@
 //	PRICEBENCH_FULL=1 go test -bench=. -timeout 2h
 //
 // for the paper's full sizes (n up to 100/1024, T up to 10⁵, 74,111
-// listings). cmd/pricebench runs the same configurations as a CLI and is
-// what produced the numbers recorded in EXPERIMENTS.md.
+// listings). cmd/pricebench runs the same configurations as a CLI.
 package datamarket_test
 
 import (
@@ -29,36 +28,13 @@ import (
 // requested.
 func fullScale() bool { return os.Getenv("PRICEBENCH_FULL") == "1" }
 
-// scaledT returns the paper's horizon or a benchable fraction of it.
-func scaledT(paperT int) int {
-	if fullScale() {
-		return paperT
-	}
-	t := paperT / 10
-	if t < 1000 {
-		t = paperT
-	}
-	return t
-}
-
 // BenchmarkFig4 regenerates the cumulative regret curves of Fig. 4:
 // four mechanism versions × n ∈ {1, 20, 40, 60, 80, 100}.
 func BenchmarkFig4(b *testing.B) {
-	cells := []struct {
-		n, paperT int
-	}{
-		{1, 100}, {20, 10000}, {40, 10000}, {60, 100000}, {80, 100000}, {100, 100000},
-	}
-	for _, cell := range cells {
-		cell := cell
-		b.Run(benchName("n", cell.n), func(b *testing.B) {
-			T := scaledT(cell.paperT)
-			owners := 4 * cell.n
-			if owners < 100 {
-				owners = 100
-			}
+	for _, c := range experiment.Grid(fullScale()) {
+		b.Run(benchName("n", c.N), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				series, err := experiment.Fig4Cell(cell.n, T, owners, 0.01, 0, 42)
+				series, err := experiment.Fig4Cell(c.N, c.T, c.Owners(), 0.01, 0, 42)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -75,20 +51,10 @@ func BenchmarkFig4(b *testing.B) {
 // BenchmarkTable1 regenerates the per-round statistics of Table I for the
 // version with reserve price.
 func BenchmarkTable1(b *testing.B) {
-	specs := []experiment.Table1Spec{
-		{N: 1, T: 100}, {N: 20, T: 10000}, {N: 40, T: 10000},
-		{N: 60, T: 100000}, {N: 80, T: 100000}, {N: 100, T: 100000},
-	}
-	for _, spec := range specs {
-		spec := spec
-		b.Run(benchName("n", spec.N), func(b *testing.B) {
-			T := scaledT(spec.T)
-			owners := 4 * spec.N
-			if owners < 100 {
-				owners = 100
-			}
+	for _, c := range experiment.Grid(fullScale()) {
+		b.Run(benchName("n", c.N), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				row, err := experiment.Table1Row(spec.N, T, owners, 42)
+				row, err := experiment.Table1Row(c.N, c.T, c.Owners(), 42)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -106,10 +72,11 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkFig5a regenerates the regret-ratio comparison of Fig. 5(a):
 // the four versions plus the risk-averse baseline at n = 100.
 func BenchmarkFig5a(b *testing.B) {
-	T := scaledT(100000)
+	T := experiment.Horizon(100000, fullScale())
 	for i := 0; i < b.N; i++ {
-		// ε = 0.2 is the tuned threshold recorded in EXPERIMENTS.md; the
-		// Theorem 1 schedule is exercised by BenchmarkFig4.
+		// ε = 0.2 is a tuned threshold (BenchmarkThresholdSweep measures
+		// the trade-off); the Theorem 1 schedule is exercised by
+		// BenchmarkFig4.
 		series, err := experiment.Fig5aCell(100, T, 400, 0.01, 0.2, 42)
 		if err != nil {
 			b.Fatal(err)
@@ -147,10 +114,7 @@ func BenchmarkFig5b(b *testing.B) {
 // BenchmarkFig5c regenerates the impression pricing regret ratios of
 // Fig. 5(c): n ∈ {128, 1024} × {sparse, dense}.
 func BenchmarkFig5c(b *testing.B) {
-	T := scaledT(100000)
-	if !fullScale() && T > 20000 {
-		T = 20000
-	}
+	T := experiment.Horizon(100000, fullScale())
 	for i := 0; i < b.N; i++ {
 		results, err := experiment.Fig5cCells(T, 42)
 		if err != nil {
@@ -233,9 +197,9 @@ func BenchmarkFig1(b *testing.B) {
 }
 
 // BenchmarkThresholdSweep is the ε ablation: exploration volume vs
-// conservative slack behind the tuned thresholds in EXPERIMENTS.md.
+// conservative slack behind Fig. 5(a)'s tuned threshold.
 func BenchmarkThresholdSweep(b *testing.B) {
-	T := scaledT(30000)
+	T := experiment.Horizon(30000, fullScale())
 	for i := 0; i < b.N; i++ {
 		pts, err := experiment.ThresholdSweep(40, T, 160, []float64{0.05, 0.2, 0.8}, 3)
 		if err != nil {
@@ -251,7 +215,7 @@ func BenchmarkThresholdSweep(b *testing.B) {
 
 // BenchmarkUncertaintySweep is the δ ablation: the cost of robustness.
 func BenchmarkUncertaintySweep(b *testing.B) {
-	T := scaledT(30000)
+	T := experiment.Horizon(30000, fullScale())
 	for i := 0; i < b.N; i++ {
 		pts, err := experiment.UncertaintySweep(20, T, 100, []float64{0, 0.01, 0.05, 0.1}, 5)
 		if err != nil {
@@ -268,7 +232,7 @@ func BenchmarkUncertaintySweep(b *testing.B) {
 // BenchmarkSGDComparison pits the Amin et al. SGD baseline (§VI-B)
 // against the ellipsoid mechanism on an identical stream.
 func BenchmarkSGDComparison(b *testing.B) {
-	T := scaledT(20000)
+	T := experiment.Horizon(20000, fullScale())
 	for i := 0; i < b.N; i++ {
 		sgd, ell, err := experiment.SGDComparison(10, T, 100, 7)
 		if err != nil {

@@ -1,6 +1,8 @@
 // Command pricebench regenerates the paper's tables and figures as text
 // tables and CSV series. It runs the same experiment configurations as
-// the root benchmarks, at either reduced or full (paper) sizes.
+// the root benchmarks, at either reduced or full (paper) sizes: Fig. 4
+// and Table I run experiment.Grid, and a reduced run takes a tenth of
+// the paper's horizon (experiment.Horizon).
 //
 // Usage:
 //
@@ -71,17 +73,6 @@ func run(which string, full bool, out string, seed uint64) error {
 	return nil
 }
 
-func scale(paperT int, full bool) int {
-	if full {
-		return paperT
-	}
-	t := paperT / 10
-	if t < 1000 {
-		t = paperT
-	}
-	return t
-}
-
 func saveCSV(out, name string, series []*experiment.Series, ratio bool) error {
 	if out == "" {
 		return nil
@@ -108,24 +99,16 @@ func runFig1(full bool, out string, seed uint64) error {
 }
 
 func runFig4(full bool, out string, seed uint64) error {
-	cells := []struct{ n, paperT int }{
-		{1, 100}, {20, 10000}, {40, 10000}, {60, 100000}, {80, 100000}, {100, 100000},
-	}
-	for _, c := range cells {
-		T := scale(c.paperT, full)
-		owners := 4 * c.n
-		if owners < 100 {
-			owners = 100
-		}
-		series, err := experiment.Fig4Cell(c.n, T, owners, 0.01, 0, seed)
+	for _, c := range experiment.Grid(full) {
+		series, err := experiment.Fig4Cell(c.N, c.T, c.Owners(), 0.01, 0, seed)
 		if err != nil {
 			return err
 		}
-		title := fmt.Sprintf("Fig. 4: cumulative regret, n=%d, T=%d", c.n, T)
+		title := fmt.Sprintf("Fig. 4: cumulative regret, n=%d, T=%d", c.N, c.T)
 		if err := experiment.WriteSeriesTable(os.Stdout, title, series, false); err != nil {
 			return err
 		}
-		if err := saveCSV(out, fmt.Sprintf("fig4_n%d.csv", c.n), series, false); err != nil {
+		if err := saveCSV(out, fmt.Sprintf("fig4_n%d.csv", c.N), series, false); err != nil {
 			return err
 		}
 		fmt.Println()
@@ -134,19 +117,11 @@ func runFig4(full bool, out string, seed uint64) error {
 }
 
 func runTable1(full bool, out string, seed uint64) error {
-	specs := []experiment.Table1Spec{
-		{N: 1, T: scale(100, full)},
-		{N: 20, T: scale(10000, full)},
-		{N: 40, T: scale(10000, full)},
-		{N: 60, T: scale(100000, full)},
-		{N: 80, T: scale(100000, full)},
-		{N: 100, T: scale(100000, full)},
-	}
-	return experiment.WriteTable1(os.Stdout, specs, 400, seed)
+	return experiment.WriteTable1(os.Stdout, experiment.Grid(full), seed)
 }
 
 func runFig5a(full bool, out string, seed uint64) error {
-	T := scale(100000, full)
+	T := experiment.Horizon(100000, full)
 	series, err := experiment.Fig5aCell(100, T, 400, 0.01, 0.2, seed)
 	if err != nil {
 		return err
@@ -177,10 +152,7 @@ func runFig5b(full bool, out string, seed uint64) error {
 }
 
 func runFig5c(full bool, out string, seed uint64) error {
-	T := scale(100000, full)
-	if !full && T > 20000 {
-		T = 20000
-	}
+	T := experiment.Horizon(100000, full)
 	results, err := experiment.Fig5cCells(T, seed)
 	if err != nil {
 		return err

@@ -256,3 +256,11 @@ func SingleRoundRegret(value, reserve, posted float64) float64 {
 
 // Sold reports whether a posted price sells against a market value.
 func Sold(price, value float64) bool { return pricing.Sold(price, value) }
+
+// PriceRound runs one valuation round on p: post a price for x under
+// reserve, accept iff Sold(price, valuation), deliver the feedback unless
+// the round was a skip, and record the round in tracker (nil records
+// nothing). It returns the quote and whether the buyer accepted.
+func PriceRound(p Poster, tracker *Tracker, x Vector, reserve, valuation float64) (Quote, bool, error) {
+	return pricing.PriceRound(p, tracker, x, reserve, valuation)
+}

@@ -89,21 +89,12 @@ func main() {
 		v := math.Exp(logV)
 		reserve := math.Exp(ratio * logV)
 
-		q, err := mech.PostPrice(x, reserve)
-		if err != nil {
+		if _, _, err := datamarket.PriceRound(mech, trMech, x, reserve, v); err != nil {
 			panic(err)
 		}
-		if q.Decision != datamarket.DecisionSkip {
-			mech.Observe(datamarket.Sold(q.Price, v))
-		}
-		trMech.Record(v, reserve, q)
-
-		qb, err := baseline.PostPrice(x, reserve)
-		if err != nil {
+		if _, _, err := datamarket.PriceRound(baseline, trBase, x, reserve, v); err != nil {
 			panic(err)
 		}
-		baseline.Observe(datamarket.Sold(qb.Price, v))
-		trBase.Record(v, reserve, qb)
 	}
 
 	fmt.Printf("\nonline pricing of %d rentals (reserve ratio %.1f):\n", listings, ratio)

@@ -61,18 +61,13 @@ func main() {
 			panic(err)
 		}
 		ctr := logistic.Value(linalg.Vector(x), theta) // the impression's market value
-		q, err := mech.PostPrice(x, 0)
+		_, accepted, err := datamarket.PriceRound(mech, tracker, x, 0, ctr)
 		if err != nil {
 			panic(err)
 		}
-		if q.Decision != datamarket.DecisionSkip {
-			s := datamarket.Sold(q.Price, ctr)
-			if s {
-				sold++
-			}
-			mech.Observe(s)
+		if accepted {
+			sold++
 		}
-		tracker.Record(ctr, 0, q)
 		if t == 1000 || t == 5000 || t == T {
 			fmt.Printf("after %6d impressions: regret ratio %6.2f%%\n", t, 100*tracker.RegretRatio())
 		}

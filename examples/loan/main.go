@@ -56,7 +56,7 @@ func main() {
 		// unknown to be below or above it in any given application.
 		floor := 0.6 * maxRate * rng.Uniform(0.8, 1.4)
 
-		q, err := mech.PostPrice(x, floor)
+		q, accepted, err := datamarket.PriceRound(mech, tracker, x, floor, maxRate)
 		if err != nil {
 			panic(err)
 		}
@@ -64,14 +64,9 @@ func main() {
 		case q.Decision == datamarket.DecisionSkip:
 			// Funding cost exceeds any acceptable rate: decline upfront.
 			declinedByBank++
-		default:
-			accepted := datamarket.Sold(q.Price, maxRate)
-			if accepted {
-				funded++
-			}
-			mech.Observe(accepted)
+		case accepted:
+			funded++
 		}
-		tracker.Record(maxRate, floor, q)
 
 		if t == 100 || t == 1000 || t == T {
 			fmt.Printf("after %6d applications: regret ratio %6.2f%%\n",

@@ -172,10 +172,11 @@ func WriteImpressions(w io.Writer, imps []Impression) error {
 	return writeCSV(w, avazuHeader, rows)
 }
 
-// ParseImpressions reads the CSV schema written by WriteImpressions (it
-// also accepts the real Avazu train file's "click" column plus whatever
-// subset of our fields is present is NOT supported — the schema must
-// match; see DESIGN.md on substitutions). limit > 0 caps rows.
+// ParseImpressions reads impressions in the CSV schema WriteImpressions
+// writes: a header that names "click" and every field of AvazuFields, in
+// any order, with other columns ignored. The real Avazu train file has
+// no "bias" column, so it parses only once one is added. Each click must
+// be 0 or 1. limit > 0 caps the rows read.
 func ParseImpressions(r io.Reader, limit int) ([]Impression, error) {
 	t, err := newCSVTable(r)
 	if err != nil {

@@ -3,7 +3,7 @@
 // tables (§V-B), and Avazu-style ad impression logs (§V-C). For each, the
 // package ships a parser for the real file's schema *and* a statistically
 // matched synthetic generator, because the real datasets cannot ship with
-// an offline module (the substitutions are documented in DESIGN.md §3).
+// an offline module.
 package dataset
 
 import (

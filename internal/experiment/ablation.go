@@ -49,16 +49,8 @@ func RunLemma8(T int) (*Lemma8Result, error) {
 		half := T / 2
 		for i := 0; i < half; i++ {
 			lo, hi := m.ValueBounds(e1)
-			reserve := (lo + hi) / 2
-			v := e1.Dot(theta)
-			q, err := m.PostPrice(e1, reserve)
-			if err != nil {
+			if _, _, err := pricing.PriceRound(m, nil, e1, (lo+hi)/2, e1.Dot(theta)); err != nil {
 				return 0, 0, 0, err
-			}
-			if q.Decision != pricing.DecisionSkip {
-				if err := m.Observe(pricing.Sold(q.Price, v)); err != nil {
-					return 0, 0, 0, err
-				}
 			}
 		}
 		lo2, hi2 := m.ValueBounds(e2)
@@ -66,17 +58,9 @@ func RunLemma8(T int) (*Lemma8Result, error) {
 		before := m.Counters().Exploratory
 		tracker := pricing.NewTracker()
 		for i := 0; i < T-half; i++ {
-			v := e2.Dot(theta)
-			q, err := m.PostPrice(e2, math.Inf(-1))
-			if err != nil {
+			if _, _, err := pricing.PriceRound(m, tracker, e2, math.Inf(-1), e2.Dot(theta)); err != nil {
 				return 0, 0, 0, err
 			}
-			if q.Decision != pricing.DecisionSkip {
-				if err := m.Observe(pricing.Sold(q.Price, v)); err != nil {
-					return 0, 0, 0, err
-				}
-			}
-			tracker.Record(v, math.Inf(-1), q)
 		}
 		return tracker.CumulativeRegret(), m.Counters().Exploratory - before, widthAtSwitch, nil
 	}

@@ -64,8 +64,8 @@ func RunAccommodationApp(cfg AccommodationConfig) (*AccommodationResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	// Featurize and standardize columns (keeps the ellipsoid probe norms
-	// moderate; see DESIGN.md §5), then append a bias feature so the
+	// Featurize and standardize columns, which keeps the norms of the
+	// ellipsoid's probes moderate, then append a bias feature so the
 	// intercept is part of θ*.
 	raw := make([]linalg.Vector, len(listings))
 	y := make(linalg.Vector, len(listings))
@@ -122,72 +122,37 @@ func RunAccommodationApp(cfg AccommodationConfig) (*AccommodationResult, error) 
 
 	// Online pricing of the full stream under the log-linear model.
 	T := len(rows)
-	var poster pricing.Poster
+	var mech pricing.FamilyPoster // nil runs the risk-averse baseline
 	label := "Pure Version"
 	if cfg.RiskAverse {
-		poster = pricing.NewRiskAverse()
 		label = fmt.Sprintf("Risk-Averse Baseline (ratio %.1f)", cfg.LogReserveRatio)
 	} else {
-		eps := cfg.Threshold
-		if eps == 0 {
-			eps = pricing.DefaultThreshold(dim, T, 0)
-		}
-		opts := []pricing.Option{pricing.WithThreshold(eps)}
 		if cfg.LogReserveRatio > 0 {
-			opts = append(opts, pricing.WithReserve())
 			label = fmt.Sprintf("With Reserve Price (ratio %.1f)", cfg.LogReserveRatio)
 		}
-		nm, err := pricing.NewNonlinear(pricing.LogLinearModel(), dim, theta.Norm2()*1.5, opts...)
+		mech, err = pricing.NewFamilyPoster(pricing.FamilySpec{
+			Family: pricing.FamilyNonlinear, Dim: dim, Radius: theta.Norm2() * 1.5,
+			Reserve: cfg.LogReserveRatio > 0, Threshold: cfg.Threshold, Horizon: T,
+			Model: pricing.ModelConfig{Link: "exp"},
+		})
 		if err != nil {
 			return nil, err
 		}
-		poster = nm
 	}
-
-	cps := cfg.Checkpoints
-	if len(cps) == 0 {
-		cps = Checkpoints(T, 5)
-	}
-	res := &AccommodationResult{
-		Series: Series{
-			Label: label, N: dim, T: T, Checkpoints: cps,
-		},
-		TestMSE:    mse,
-		FeatureDim: dim,
-	}
-	tracker := pricing.NewTracker()
-	next := 0
-	for t := 1; t <= T; t++ {
-		x := rows[t-1]
-		logV := x.Dot(theta)
-		v := math.Exp(logV)
-		reserve := math.Inf(-1)
-		if cfg.LogReserveRatio > 0 {
-			reserve = math.Exp(cfg.LogReserveRatio * logV)
-		}
-		quote, err := poster.PostPrice(x, reserve)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: accommodation round %d: %w", t, err)
-		}
-		if quote.Decision != pricing.DecisionSkip {
-			if err := poster.Observe(pricing.Sold(quote.Price, v)); err != nil {
-				return nil, err
+	s, err := runCurve(label, dim, T, cfg.Checkpoints, mech,
+		func(t int) (linalg.Vector, float64, float64, error) {
+			x := rows[t-1]
+			logV := x.Dot(theta)
+			reserve := math.Inf(-1)
+			if cfg.LogReserveRatio > 0 {
+				reserve = math.Exp(cfg.LogReserveRatio * logV)
 			}
-		}
-		tracker.Record(v, reserve, quote)
-		for next < len(cps) && cps[next] == t {
-			res.CumRegret = append(res.CumRegret, tracker.CumulativeRegret())
-			res.RegretRatio = append(res.RegretRatio, tracker.RegretRatio())
-			next++
-		}
+			return x, reserve, math.Exp(logV), nil
+		})
+	if err != nil {
+		return nil, err
 	}
-	res.FinalRegret = tracker.CumulativeRegret()
-	res.FinalRatio = tracker.RegretRatio()
-	res.Table = tracker.Table()
-	if nm, ok := poster.(*pricing.NonlinearMechanism); ok {
-		res.Counters = nm.Counters()
-	}
-	return res, nil
+	return &AccommodationResult{Series: *s, TestMSE: mse, FeatureDim: dim}, nil
 }
 
 // Fig5bCells runs the Fig. 5(b) sweep: pure version plus reserve ratios

@@ -36,7 +36,7 @@ func TestAccommodationPureAndReserve(t *testing.T) {
 	// The online mechanism's ratio must be well under the always-reserve
 	// baseline's. (The paper reports 4.57% on the real table; our
 	// synthetic stream has higher effective dimensionality, which keeps
-	// the exploration phase alive longer — see EXPERIMENTS.md.)
+	// the exploration phase alive longer.)
 	if pure.FinalRatio > 0.35 {
 		t.Fatalf("pure final ratio = %v", pure.FinalRatio)
 	}
@@ -102,8 +102,7 @@ func TestImpressionSparseAndDense(t *testing.T) {
 	// the ~20–35 nonzero-weight coordinates) finishes its exploration
 	// phase and pulls its regret ratio down, while the sparse case at
 	// n = 128 is still exploring — the central-cut ellipsoid needs
-	// O(n² log(1/ε)) cuts, far beyond T here (see EXPERIMENTS.md for the
-	// full-scale discussion).
+	// O(n² log(1/ε)) cuts, far beyond T here.
 	const T = 20000
 	sparse, err := RunImpressionApp(ImpressionConfig{HashDim: 128, T: T, Seed: 7})
 	if err != nil {

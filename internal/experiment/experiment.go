@@ -4,14 +4,22 @@
 // rental application under the log-linear model (Fig. 5(b)), the
 // impression pricing application under the logistic model (Fig. 5(c)),
 // the §V-D latency/memory overheads, and the appendix ablations (Lemma 8,
-// Theorem 3). DESIGN.md carries the experiment index; EXPERIMENTS.md the
-// recorded paper-vs-measured outcomes.
+// Theorem 3). README's "Paper experiments" indexes each figure's
+// experiment function and pricebench run.
+//
+// The experiments price as brokerd does: every mechanism a hosted family
+// covers comes from pricing.NewFamilyPoster, every valuation round of a
+// Poster is pricing.PriceRound, and the §V-A consumers are drawn by
+// market.ConsumerModel. Only Lemma 8's ablation (WithConservativeCuts),
+// Theorem 3's scalar interval mechanism and the risk-averse baseline are
+// built outside the family factory.
 package experiment
 
 import (
 	"fmt"
 	"math"
 
+	"datamarket/internal/linalg"
 	"datamarket/internal/pricing"
 )
 
@@ -117,4 +125,74 @@ func Checkpoints(T, pointsPerDecade int) []int {
 		}
 	}
 	return out
+}
+
+// runCurve prices T valuation rounds through mech, or through the
+// risk-averse baseline when mech is nil, round t drawn by draw(t). It
+// returns the series labelled label: the cumulative regret and regret
+// ratio at each checkpoint in cps (a log-spaced grid when cps is empty),
+// the end-of-run results, and mech's counters (none for the baseline).
+func runCurve(label string, n, T int, cps []int, mech pricing.FamilyPoster,
+	draw func(t int) (x linalg.Vector, reserve, value float64, err error)) (*Series, error) {
+	var poster pricing.Poster = pricing.NewRiskAverse()
+	if mech != nil {
+		poster = mech
+	}
+	if len(cps) == 0 {
+		cps = Checkpoints(T, 5)
+	}
+	s := &Series{Label: label, N: n, T: T, Checkpoints: cps}
+	tracker := pricing.NewTracker()
+	next := 0
+	for t := 1; t <= T; t++ {
+		x, reserve, v, err := draw(t)
+		if err != nil {
+			return nil, err
+		}
+		if _, _, err := pricing.PriceRound(poster, tracker, x, reserve, v); err != nil {
+			return nil, fmt.Errorf("experiment: %s, round %d: %w", label, t, err)
+		}
+		for next < len(cps) && cps[next] == t {
+			s.CumRegret = append(s.CumRegret, tracker.CumulativeRegret())
+			s.RegretRatio = append(s.RegretRatio, tracker.RegretRatio())
+			next++
+		}
+	}
+	s.FinalRegret = tracker.CumulativeRegret()
+	s.FinalRatio = tracker.RegretRatio()
+	s.Table = tracker.Table()
+	if mech != nil {
+		s.Counters = mech.Counters()
+	}
+	return s, nil
+}
+
+// Cell is one (n, T) configuration of the noisy linear query
+// application: a panel of Fig. 4 and a row of Table I.
+type Cell struct {
+	N int
+	T int
+}
+
+// Owners returns the size of the cell's owner population, max(4n, 100).
+func (c Cell) Owners() int { return max(4*c.N, 100) }
+
+// Grid returns the cells of Fig. 4 and Table I, each paper horizon T run
+// at Horizon(T, full).
+func Grid(full bool) []Cell {
+	cells := []Cell{{1, 100}, {20, 10000}, {40, 10000}, {60, 100000}, {80, 100000}, {100, 100000}}
+	for i := range cells {
+		cells[i].T = Horizon(cells[i].T, full)
+	}
+	return cells
+}
+
+// Horizon returns the horizon a run uses for the paper's horizon paperT:
+// paperT itself in a full run, a tenth of it in a reduced run, unless a
+// tenth is under 1,000 rounds, which a reduced run keeps at paperT.
+func Horizon(paperT int, full bool) int {
+	if t := paperT / 10; !full && t >= 1000 {
+		return t
+	}
+	return paperT
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -30,6 +31,24 @@ func TestCheckpoints(t *testing.T) {
 	// Degenerate pointsPerDecade is clamped.
 	if len(Checkpoints(100, 0)) == 0 {
 		t.Fatal("clamped pointsPerDecade broke the grid")
+	}
+}
+
+func TestGrid(t *testing.T) {
+	// A reduced run keeps a horizon whose tenth is under 1,000 rounds.
+	want := map[bool][]Cell{
+		false: {{1, 100}, {20, 1000}, {40, 1000}, {60, 10000}, {80, 10000}, {100, 10000}},
+		true:  {{1, 100}, {20, 10000}, {40, 10000}, {60, 100000}, {80, 100000}, {100, 100000}},
+	}
+	for full, cells := range want {
+		if got := Grid(full); !reflect.DeepEqual(got, cells) {
+			t.Fatalf("Grid(%v) = %v, want %v", full, got, cells)
+		}
+	}
+	for n, owners := range map[int]int{1: 100, 25: 100, 26: 104, 100: 400} {
+		if got := (Cell{N: n}).Owners(); got != owners {
+			t.Fatalf("Cell{N: %d}.Owners() = %d, want %d", n, got, owners)
+		}
 	}
 }
 
@@ -253,7 +272,7 @@ func TestWriteSeriesTableAndCSV(t *testing.T) {
 
 func TestWriteTable1(t *testing.T) {
 	var buf bytes.Buffer
-	err := WriteTable1(&buf, []Table1Spec{{N: 1, T: 50}, {N: 4, T: 100}}, 40, 11)
+	err := WriteTable1(&buf, []Cell{{N: 1, T: 50}, {N: 4, T: 100}}, 11)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func TestExperimentsGolden(t *testing.T) {
 	series("Uniform weights with noise: n=5, T=300", []*Series{s}, false)
 
 	// Table I rows. 100 owners is max(4n, 100) for both rows.
-	check(WriteTable1(w, []Table1Spec{{N: 1, T: 100}, {N: 10, T: 400}}, 100, 42))
+	check(WriteTable1(w, []Cell{{N: 1, T: 100}, {N: 10, T: 400}}, 42))
 	fmt.Fprintln(w)
 
 	// Fig. 5(b): the pure version and every reserve ratio with its

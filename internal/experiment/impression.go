@@ -19,7 +19,7 @@ type ImpressionConfig struct {
 	// T is the number of priced impressions.
 	T int
 	// FitRounds is the number of impressions used for the FTRL refit that
-	// produces θ*; 0 means 3·T/2 capped at 200k.
+	// produces θ*; 0 means 40,000.
 	FitRounds int
 	// Dense prices over only the coordinates with nonzero learned weight
 	// (the paper's "dense case"); otherwise the full hashed vector is
@@ -27,7 +27,7 @@ type ImpressionConfig struct {
 	Dense bool
 	// Threshold overrides the exploration threshold ε in score space; the
 	// Theorem 1 schedule n²/T is vacuous at n = 1024, so Fig. 5(c) runs
-	// use a practical default of 0.05 when this is 0 (see EXPERIMENTS.md).
+	// use a practical default of 0.05 when this is 0.
 	Threshold float64
 	// Seed drives everything.
 	Seed uint64
@@ -111,58 +111,36 @@ func RunImpressionApp(cfg ImpressionConfig) (*ImpressionResult, error) {
 	if eps == 0 {
 		eps = 0.05
 	}
-	nm, err := pricing.NewNonlinear(pricing.LogisticModel(), pricedDim,
-		float64(priceTheta.Norm2()*1.5)+1,
-		pricing.WithThreshold(eps))
+	nm, err := pricing.NewFamilyPoster(pricing.FamilySpec{
+		Family: pricing.FamilyNonlinear, Dim: pricedDim,
+		Radius: float64(priceTheta.Norm2()*1.5) + 1, Threshold: eps,
+		Model: pricing.ModelConfig{Link: "logistic"},
+	})
 	if err != nil {
 		return nil, err
 	}
-
-	cps := cfg.Checkpoints
-	if len(cps) == 0 {
-		cps = Checkpoints(cfg.T, 5)
+	logistic := pricing.LogisticModel()
+	s, err := runCurve(label, pricedDim, cfg.T, cfg.Checkpoints, nm,
+		func(int) (linalg.Vector, float64, float64, error) {
+			_, xFull := stream.Next()
+			x, err := project(xFull)
+			if err != nil {
+				return nil, 0, 0, err
+			}
+			// The market value of an impression is its CTR under the
+			// learned model (§V-C): the adversary prices what the model
+			// believes.
+			return x, 0, logistic.Value(x, priceTheta), nil
+		})
+	if err != nil {
+		return nil, err
 	}
-	res := &ImpressionResult{
-		Series: Series{
-			Label: label, N: pricedDim, T: cfg.T, Checkpoints: cps,
-		},
+	return &ImpressionResult{
+		Series:         *s,
 		FitLogLoss:     fitLoss,
 		NonzeroWeights: len(nz),
 		PricedDim:      pricedDim,
-	}
-	tracker := pricing.NewTracker()
-	next := 0
-	logistic := pricing.LogisticModel()
-	for t := 1; t <= cfg.T; t++ {
-		_, xFull := stream.Next()
-		x, err := project(xFull)
-		if err != nil {
-			return nil, err
-		}
-		// The market value of an impression is its CTR under the learned
-		// model (§V-C) — the adversary prices what the model believes.
-		v := logistic.Value(x, priceTheta)
-		quote, err := nm.PostPrice(x, 0)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: impression round %d: %w", t, err)
-		}
-		if quote.Decision != pricing.DecisionSkip {
-			if err := nm.Observe(pricing.Sold(quote.Price, v)); err != nil {
-				return nil, err
-			}
-		}
-		tracker.Record(v, 0, quote)
-		for next < len(cps) && cps[next] == t {
-			res.CumRegret = append(res.CumRegret, tracker.CumulativeRegret())
-			res.RegretRatio = append(res.RegretRatio, tracker.RegretRatio())
-			next++
-		}
-	}
-	res.FinalRegret = tracker.CumulativeRegret()
-	res.FinalRatio = tracker.RegretRatio()
-	res.Table = tracker.Table()
-	res.Counters = nm.Counters()
-	return res, nil
+	}, nil
 }
 
 // Fig5cCells runs the four Fig. 5(c) curves: n ∈ {128, 1024} × {sparse,

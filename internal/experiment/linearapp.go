@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"datamarket/internal/feature"
 	"datamarket/internal/linalg"
+	"datamarket/internal/market"
 	"datamarket/internal/pricing"
 	"datamarket/internal/privacy"
 	"datamarket/internal/randx"
@@ -32,8 +32,8 @@ type LinearAppConfig struct {
 	UniformQueryWeights bool
 	// Threshold overrides the exploration threshold ε; 0 means the
 	// Theorem 1 schedule (max(n²/T, 4nδ), or log₂(T)/T for n = 1). The
-	// schedule's constant is conservative at large n — EXPERIMENTS.md
-	// reports both the schedule and a tuned ε for the n = 100 runs.
+	// schedule's constant is conservative at large n, so Fig. 5(a) runs
+	// n = 100 at a tuned ε (see ThresholdSweep).
 	Threshold float64
 	// Seed drives all randomness (workload and noise).
 	Seed uint64
@@ -42,45 +42,34 @@ type LinearAppConfig struct {
 	Checkpoints []int
 }
 
-// linearWorkload holds the §V-A market simulation state shared by all
-// versions: the owner contracts/ranges, the hidden θ*, and the stream RNG.
-type linearWorkload struct {
-	cfg       LinearAppConfig
-	ranges    linalg.Vector
-	contracts []privacy.Contract
-	theta     linalg.Vector
-	noise     *randx.SubGaussianNoise
-	rng       *randx.RNG
-}
-
-// newLinearWorkload validates the config and prepares the workload.
+// newConsumers validates the config and builds the §V-A consumer stream
+// with the RNG that drives it: cfg.Owners owners over the MovieLens
+// rating-scale span 4.5 under a tanh(1, 1) contract, and, for the
+// versions with uncertainty, market-value noise sized for the buffer δ.
 // Versions sharing (N, T, Owners, Seed) see the identical query stream.
-func newLinearWorkload(cfg LinearAppConfig) (*linearWorkload, error) {
+func newConsumers(cfg LinearAppConfig) (*market.ConsumerModel, *randx.RNG, error) {
 	if cfg.N < 1 {
-		return nil, fmt.Errorf("experiment: N must be ≥ 1, got %d", cfg.N)
+		return nil, nil, fmt.Errorf("experiment: N must be ≥ 1, got %d", cfg.N)
 	}
 	if cfg.T < 1 {
-		return nil, fmt.Errorf("experiment: T must be ≥ 1, got %d", cfg.T)
+		return nil, nil, fmt.Errorf("experiment: T must be ≥ 1, got %d", cfg.T)
 	}
 	if cfg.Owners < cfg.N {
-		return nil, fmt.Errorf("experiment: Owners (%d) must be ≥ N (%d)", cfg.Owners, cfg.N)
+		return nil, nil, fmt.Errorf("experiment: Owners (%d) must be ≥ N (%d)", cfg.Owners, cfg.N)
 	}
 	if cfg.Delta < 0 {
-		return nil, fmt.Errorf("experiment: negative Delta %g", cfg.Delta)
+		return nil, nil, fmt.Errorf("experiment: negative Delta %g", cfg.Delta)
 	}
 	if cfg.Threshold < 0 {
-		return nil, fmt.Errorf("experiment: negative Threshold %g", cfg.Threshold)
+		return nil, nil, fmt.Errorf("experiment: negative Threshold %g", cfg.Threshold)
 	}
 	contract, err := privacy.NewTanhContract(1, 1)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	w := &linearWorkload{cfg: cfg}
-	w.ranges = make(linalg.Vector, cfg.Owners)
-	w.contracts = make([]privacy.Contract, cfg.Owners)
-	for i := 0; i < cfg.Owners; i++ {
-		w.ranges[i] = 4.5 // the MovieLens rating-scale span
-		w.contracts[i] = contract
+	owners := make([]market.Owner, cfg.Owners)
+	for i := range owners {
+		owners[i] = market.Owner{ID: i, Range: 4.5, Contract: contract}
 	}
 	// θ* drawn positive and scaled to ‖θ*‖ = √(2n) (§V-A) so that market
 	// values exceed the compensation-based reserves with high probability.
@@ -97,157 +86,73 @@ func newLinearWorkload(cfg LinearAppConfig) (*linearWorkload, error) {
 	}
 	theta.Normalize()
 	theta.Scale(math.Sqrt(2 * float64(cfg.N)))
-	w.theta = theta
 
+	var noise *randx.SubGaussianNoise
 	if cfg.Version.UsesUncertainty() && cfg.Delta > 0 {
 		sigma := randx.SigmaForBuffer(cfg.Delta, cfg.T)
-		w.noise, err = randx.NewSubGaussianNoise(randx.NoiseNormal, sigma)
-		if err != nil {
-			return nil, err
+		if noise, err = randx.NewSubGaussianNoise(randx.NoiseNormal, sigma); err != nil {
+			return nil, nil, err
 		}
 	}
-	w.rng = randx.NewStream(cfg.Seed, 0x11)
-	return w, nil
+	consumers, err := market.NewConsumerModel(market.ConsumerConfig{
+		Owners: owners, FeatureDim: cfg.N, Theta: theta, Noise: noise,
+		UniformWeights: cfg.UniformQueryWeights,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return consumers, randx.NewStream(cfg.Seed, 0x11), nil
 }
 
-// nextRound draws one query and runs the §II-B feature pipeline, returning
-// the feature vector, the reserve price, and the (possibly noisy) market
-// value.
-func (w *linearWorkload) nextRound() (x linalg.Vector, reserve, value float64, err error) {
-	weights := make(linalg.Vector, w.cfg.Owners)
-	if w.cfg.UniformQueryWeights {
-		for i := range weights {
-			weights[i] = w.rng.Uniform(-1, 1)
-		}
-	} else {
-		for i := range weights {
-			weights[i] = w.rng.StdNormal()
-		}
+// drawFrom adapts the consumer stream to runCurve's round source.
+func drawFrom(consumers *market.ConsumerModel, rng *randx.RNG) func(int) (linalg.Vector, float64, float64, error) {
+	return func(int) (linalg.Vector, float64, float64, error) {
+		q, x, reserve, err := consumers.NextRound(rng)
+		return x, reserve, q.Valuation, err
 	}
-	k := w.rng.Intn(9) - 4
-	q, err := privacy.NewLinearQuery(weights, math.Pow(10, float64(k)))
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	leak, err := q.Leakages(w.ranges)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	comps, err := privacy.Compensations(leak, w.contracts)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	x, _, reserve, err = feature.CompensationFeatures(comps, w.cfg.N)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	value = x.Dot(w.theta)
-	if w.noise != nil {
-		value += w.noise.Sample(w.rng)
-	}
-	return x, reserve, value, nil
 }
 
-// newPoster builds the mechanism for the configured version.
-func newPoster(cfg LinearAppConfig) (pricing.Poster, error) {
-	if cfg.Version == VersionRiskAverse {
-		return pricing.NewRiskAverse(), nil
+// newPoster builds the mechanism of a version other than the risk-averse
+// baseline, through the family factory that brokerd builds its streams
+// with. The family's default radius is 2√n, the §V-A bound on ‖θ*‖.
+func newPoster(cfg LinearAppConfig) (pricing.FamilyPoster, error) {
+	spec := pricing.FamilySpec{
+		Dim: cfg.N, Reserve: cfg.Version.UsesReserve(), Threshold: cfg.Threshold, Horizon: cfg.T,
 	}
-	delta := 0.0
 	if cfg.Version.UsesUncertainty() {
-		delta = cfg.Delta
-	}
-	eps := cfg.Threshold
-	if eps == 0 {
-		eps = pricing.DefaultThreshold(cfg.N, cfg.T, delta)
+		spec.Delta = cfg.Delta
 	}
 	// Every lemma of §III-C needs ε ≥ 4nδ: below it, buffered cuts have
 	// α < −1/n (too shallow to refine) once the width drops under 2nδ,
 	// and the mechanism explores forever without progress. Keep tuned
-	// thresholds valid by flooring them at the coupling.
-	if min := 4 * float64(cfg.N) * delta; eps < min {
-		eps = min
+	// thresholds valid by flooring them at the coupling; the Theorem 1
+	// schedule (Threshold 0) already respects it.
+	if min := 4 * float64(cfg.N) * spec.Delta; spec.Threshold > 0 && spec.Threshold < min {
+		spec.Threshold = min
 	}
-	opts := []pricing.Option{pricing.WithThreshold(eps)}
-	if delta > 0 {
-		opts = append(opts, pricing.WithUncertainty(delta))
-	}
-	if cfg.Version.UsesReserve() {
-		opts = append(opts, pricing.WithReserve())
-	}
-	// Initial knowledge: ‖θ*‖ ≤ 2√n (§V-A: R = 2√n).
-	return pricing.New(cfg.N, 2*math.Sqrt(float64(cfg.N)), opts...)
+	return pricing.NewFamilyPoster(spec)
 }
 
 // RunLinearApp runs Application 1 for one version and returns its series.
 func RunLinearApp(cfg LinearAppConfig) (*Series, error) {
-	w, err := newLinearWorkload(cfg)
+	consumers, rng, err := newConsumers(cfg)
 	if err != nil {
 		return nil, err
 	}
-	poster, err := newPoster(cfg)
-	if err != nil {
-		return nil, err
-	}
-	cps := cfg.Checkpoints
-	if len(cps) == 0 {
-		cps = Checkpoints(cfg.T, 5)
-	}
-	s := &Series{
-		Label:       cfg.Version.String(),
-		N:           cfg.N,
-		T:           cfg.T,
-		Checkpoints: cps,
-	}
-	tracker := pricing.NewTracker()
-	next := 0
-	for t := 1; t <= cfg.T; t++ {
-		x, reserve, v, err := w.nextRound()
-		if err != nil {
+	var mech pricing.FamilyPoster // nil runs the risk-averse baseline
+	if cfg.Version != VersionRiskAverse {
+		if mech, err = newPoster(cfg); err != nil {
 			return nil, err
 		}
-		quote, err := poster.PostPrice(x, reserve)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: round %d: %w", t, err)
-		}
-		if quote.Decision != pricing.DecisionSkip {
-			if err := poster.Observe(pricing.Sold(quote.Price, v)); err != nil {
-				return nil, fmt.Errorf("experiment: round %d: %w", t, err)
-			}
-		}
-		tracker.Record(v, reserve, quote)
-		for next < len(cps) && cps[next] == t {
-			s.CumRegret = append(s.CumRegret, tracker.CumulativeRegret())
-			s.RegretRatio = append(s.RegretRatio, tracker.RegretRatio())
-			next++
-		}
 	}
-	s.FinalRegret = tracker.CumulativeRegret()
-	s.FinalRatio = tracker.RegretRatio()
-	s.Table = tracker.Table()
-	if m, ok := poster.(*pricing.Mechanism); ok {
-		s.Counters = m.Counters()
-	}
-	return s, nil
+	return runCurve(cfg.Version.String(), cfg.N, cfg.T, cfg.Checkpoints, mech, drawFrom(consumers, rng))
 }
 
 // Fig4Cell runs all four versions of Fig. 4 for one (n, T) cell on the
 // identical workload stream and returns the four series in AllVersions
 // order. threshold = 0 uses the Theorem 1 schedule.
 func Fig4Cell(n, T, owners int, delta, threshold float64, seed uint64) ([]*Series, error) {
-	out := make([]*Series, 0, len(AllVersions))
-	for _, v := range AllVersions {
-		cfg := LinearAppConfig{
-			N: n, T: T, Owners: owners, Version: v, Delta: delta,
-			Threshold: threshold, Seed: seed,
-		}
-		s, err := RunLinearApp(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: Fig4 n=%d %s: %w", n, v, err)
-		}
-		out = append(out, s)
-	}
-	return out, nil
+	return runVersions(AllVersions, n, T, owners, delta, threshold, seed)
 }
 
 // Fig5aCell runs the four versions plus the risk-averse baseline for the
@@ -255,15 +160,19 @@ func Fig4Cell(n, T, owners int, delta, threshold float64, seed uint64) ([]*Serie
 // schedule.
 func Fig5aCell(n, T, owners int, delta, threshold float64, seed uint64) ([]*Series, error) {
 	versions := append(append([]Version{}, AllVersions...), VersionRiskAverse)
+	return runVersions(versions, n, T, owners, delta, threshold, seed)
+}
+
+// runVersions runs each version on the identical workload stream.
+func runVersions(versions []Version, n, T, owners int, delta, threshold float64, seed uint64) ([]*Series, error) {
 	out := make([]*Series, 0, len(versions))
 	for _, v := range versions {
-		cfg := LinearAppConfig{
+		s, err := RunLinearApp(LinearAppConfig{
 			N: n, T: T, Owners: owners, Version: v, Delta: delta,
 			Threshold: threshold, Seed: seed,
-		}
-		s, err := RunLinearApp(cfg)
+		})
 		if err != nil {
-			return nil, fmt.Errorf("experiment: Fig5a %s: %w", v, err)
+			return nil, fmt.Errorf("experiment: n=%d %s: %w", n, v, err)
 		}
 		out = append(out, s)
 	}

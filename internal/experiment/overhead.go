@@ -40,9 +40,7 @@ func MeasureLinearOverhead(n, rounds int, seed uint64) (*OverheadResult, error) 
 	if n < 1 || rounds < 1 {
 		return nil, fmt.Errorf("experiment: bad overhead config n=%d rounds=%d", n, rounds)
 	}
-	m, err := pricing.New(n, 2*math.Sqrt(float64(n)),
-		pricing.WithReserve(),
-		pricing.WithThreshold(pricing.DefaultThreshold(n, rounds, 0)))
+	m, err := pricing.NewFamilyPoster(pricing.FamilySpec{Dim: n, Reserve: true, Horizon: rounds})
 	if err != nil {
 		return nil, err
 	}
@@ -71,14 +69,8 @@ func MeasureLinearOverhead(n, rounds int, seed uint64) (*OverheadResult, error) 
 	start := time.Now()
 	for i := 0; i < rounds; i++ {
 		t0 := time.Now()
-		quote, err := m.PostPrice(xs[i], qs[i])
-		if err != nil {
+		if _, _, err := pricing.PriceRound(m, nil, xs[i], qs[i], vs[i]); err != nil {
 			return nil, err
-		}
-		if quote.Decision != pricing.DecisionSkip {
-			if err := m.Observe(pricing.Sold(quote.Price, vs[i])); err != nil {
-				return nil, err
-			}
 		}
 		lats.RecordDuration(time.Since(t0))
 	}

@@ -68,28 +68,18 @@ func WriteSeriesCSV(w io.Writer, series []*Series, ratio bool) error {
 	return nil
 }
 
-// Table1Spec is one requested row of Table I.
-type Table1Spec struct {
-	N int
-	T int
-}
-
-// WriteTable1 runs and renders Table I for the requested (n, T) rows.
-func WriteTable1(w io.Writer, specs []Table1Spec, owners int, seed uint64) error {
+// WriteTable1 runs and renders Table I, one row per cell.
+func WriteTable1(w io.Writer, cells []Cell, seed uint64) error {
 	fmt.Fprintln(w, "Table I: statistics per round, version with reserve price")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "n\tT\tMarket Value\tReserve Price\tPosted Price\tRegret")
-	for _, spec := range specs {
-		ownerCount := owners
-		if ownerCount < spec.N {
-			ownerCount = spec.N
-		}
-		row, err := Table1Row(spec.N, spec.T, ownerCount, seed)
+	for _, c := range cells {
+		row, err := Table1Row(c.N, c.T, c.Owners(), seed)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(tw, "%d\t%d\t%s\t%s\t%s\t%s\n",
-			spec.N, spec.T,
+			c.N, c.T,
 			row.MarketValue.String(), row.Reserve.String(),
 			row.Posted.String(), row.Regret.String())
 	}

@@ -19,9 +19,9 @@ type SweepPoint struct {
 
 // ThresholdSweep measures how the exploration threshold ε trades
 // exploration volume against conservative-round slack, at fixed (n, T).
-// This is the ablation behind the "tuned ε" rows in EXPERIMENTS.md: the
-// Theorem 1 schedule ε = n²/T minimizes the worst-case bound, while the
-// empirical optimum at finite T sits higher.
+// It is why Fig. 5(a) runs at a tuned ε = 0.2: the Theorem 1 schedule
+// ε = n²/T minimizes the worst-case bound, while the empirical optimum at
+// finite T sits higher.
 func ThresholdSweep(n, T, owners int, epsilons []float64, seed uint64) ([]SweepPoint, error) {
 	if len(epsilons) == 0 {
 		return nil, fmt.Errorf("experiment: no epsilons to sweep")
@@ -49,16 +49,16 @@ func ThresholdSweep(n, T, owners int, epsilons []float64, seed uint64) ([]SweepP
 // (n, T): δ = 0 recovers Algorithm 1; growing δ keeps θ* safe under
 // noisier markets at the price of wider conservative shading (§V-A's
 // "uncertainty accumulates more regret" observation). The exploration
-// threshold is held at the δ = 0 schedule across the sweep so the cells
-// differ only in the buffer (the Theorem 1 coupling ε ≥ 4nδ would
-// otherwise change two knobs at once).
+// threshold is held fixed across the sweep, at the largest δ's schedule
+// max(n²/T, 4nδ), so the cells differ only in the buffer (coupling each
+// cell's ε to its own δ would change two knobs at once).
 func UncertaintySweep(n, T, owners int, deltas []float64, seed uint64) ([]SweepPoint, error) {
 	if len(deltas) == 0 {
 		return nil, fmt.Errorf("experiment: no deltas to sweep")
 	}
-	// Build the mechanisms directly (bypassing the experiment runner's
-	// ε ≥ 4nδ floor) so the sweep isolates δ. ε is sized for the largest
-	// δ so every cell is a valid Algorithm 2 configuration.
+	// Build the mechanisms here rather than through newPoster, whose ε
+	// follows each cell's own δ. ε is sized for the largest δ so every
+	// cell is a valid Algorithm 2 configuration.
 	var maxDelta float64
 	for _, d := range deltas {
 		if d < 0 {
@@ -71,10 +71,9 @@ func UncertaintySweep(n, T, owners int, deltas []float64, seed uint64) ([]SweepP
 	eps := math.Max(pricing.DefaultThreshold(n, T, 0), 4*float64(n)*maxDelta)
 	out := make([]SweepPoint, 0, len(deltas))
 	for _, d := range deltas {
-		m, err := pricing.New(n, 2*math.Sqrt(float64(n)),
-			pricing.WithReserve(),
-			pricing.WithUncertainty(d),
-			pricing.WithThreshold(eps))
+		m, err := pricing.NewFamilyPoster(pricing.FamilySpec{
+			Dim: n, Reserve: true, Delta: d, Threshold: eps,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -82,31 +81,18 @@ func UncertaintySweep(n, T, owners int, deltas []float64, seed uint64) ([]SweepP
 		if d == 0 {
 			version = VersionReserve
 		}
-		w, err := newLinearWorkload(LinearAppConfig{
+		consumers, rng, err := newConsumers(LinearAppConfig{
 			N: n, T: T, Owners: owners, Version: version, Delta: d, Seed: seed,
 		})
 		if err != nil {
 			return nil, err
 		}
-		tr := pricing.NewTracker()
-		for t := 0; t < T; t++ {
-			x, reserve, v, err := w.nextRound()
-			if err != nil {
-				return nil, err
-			}
-			q, err := m.PostPrice(x, reserve)
-			if err != nil {
-				return nil, err
-			}
-			if q.Decision != pricing.DecisionSkip {
-				if err := m.Observe(pricing.Sold(q.Price, v)); err != nil {
-					return nil, err
-				}
-			}
-			tr.Record(v, reserve, q)
+		s, err := runCurve(version.String(), n, T, nil, m, drawFrom(consumers, rng))
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, SweepPoint{
-			Param: d, FinalRatio: tr.RegretRatio(), Exploratory: m.Counters().Exploratory,
+			Param: d, FinalRatio: s.FinalRatio, Exploratory: s.Counters.Exploratory,
 		})
 	}
 	return out, nil
@@ -116,45 +102,33 @@ func UncertaintySweep(n, T, owners int, deltas []float64, seed uint64) ([]SweepP
 // ellipsoid mechanism on the identical stream and returns
 // (sgdRatio, ellipsoidRatio).
 func SGDComparison(n, T, owners int, seed uint64) (sgdRatio, ellRatio float64, err error) {
-	run := func(p pricing.Poster) (float64, error) {
-		w, err := newLinearWorkload(LinearAppConfig{
-			N: n, T: T, Owners: owners, Version: VersionPure, Seed: seed,
-		})
+	cfg := LinearAppConfig{N: n, T: T, Owners: owners, Version: VersionReserve, Seed: seed}
+	run := func(label string, p pricing.FamilyPoster) (float64, error) {
+		consumers, rng, err := newConsumers(cfg)
 		if err != nil {
 			return 0, err
 		}
-		tr := pricing.NewTracker()
-		for t := 0; t < T; t++ {
-			x, reserve, v, err := w.nextRound()
-			if err != nil {
-				return 0, err
-			}
-			q, err := p.PostPrice(x, reserve)
-			if err != nil {
-				return 0, err
-			}
-			if q.Decision != pricing.DecisionSkip {
-				if err := p.Observe(pricing.Sold(q.Price, v)); err != nil {
-					return 0, err
-				}
-			}
-			tr.Record(v, reserve, q)
+		s, err := runCurve(label, n, T, nil, p, drawFrom(consumers, rng))
+		if err != nil {
+			return 0, err
 		}
-		return tr.RegretRatio(), nil
+		return s.FinalRatio, nil
 	}
-	sgd, err := pricing.NewSGD(n, 0.5, 1.0, true)
+	sgd, err := pricing.NewFamilyPoster(pricing.FamilySpec{
+		Family: pricing.FamilySGD, Dim: n, Reserve: true,
+		Model: pricing.ModelConfig{Eta0: 0.5, Margin: 1},
+	})
 	if err != nil {
 		return 0, 0, err
 	}
-	if sgdRatio, err = run(sgd); err != nil {
+	if sgdRatio, err = run("SGD", sgd); err != nil {
 		return 0, 0, err
 	}
-	cfg := LinearAppConfig{N: n, T: T, Owners: owners, Version: VersionReserve, Seed: seed}
 	ell, err := newPoster(cfg)
 	if err != nil {
 		return 0, 0, err
 	}
-	if ellRatio, err = run(ell); err != nil {
+	if ellRatio, err = run(cfg.Version.String(), ell); err != nil {
 		return 0, 0, err
 	}
 	return sgdRatio, ellRatio, nil

@@ -83,6 +83,14 @@ func (cm *ConsumerModel) Theta() linalg.Vector { return cm.theta.Clone() }
 // is computed through the same §II-B pipeline the broker uses, so broker
 // and consumer agree on the feature representation.
 func (cm *ConsumerModel) NextQuery(rng *randx.RNG) (Query, error) {
+	q, _, _, err := cm.NextRound(rng)
+	return q, err
+}
+
+// NextRound draws the next consumer's query and valuation, as NextQuery
+// does, and also returns the feature vector x and the reserve price that
+// the §II-B pipeline derives from the query's compensations.
+func (cm *ConsumerModel) NextRound(rng *randx.RNG) (q Query, x linalg.Vector, reserve float64, err error) {
 	weights := make(linalg.Vector, cm.owners)
 	if cm.uniform {
 		for i := range weights {
@@ -96,25 +104,25 @@ func (cm *ConsumerModel) NextQuery(rng *randx.RNG) (Query, error) {
 	// Noise variance 10^k with k uniform in {−4, …, 4}.
 	k := rng.Intn(9) - 4
 	variance := math.Pow(10, float64(k))
-	q, err := privacy.NewLinearQuery(weights, variance)
+	lq, err := privacy.NewLinearQuery(weights, variance)
 	if err != nil {
-		return Query{}, err
+		return Query{}, nil, 0, err
 	}
-	leak, err := q.Leakages(cm.ranges)
+	leak, err := lq.Leakages(cm.ranges)
 	if err != nil {
-		return Query{}, err
+		return Query{}, nil, 0, err
 	}
 	comps, err := privacy.Compensations(leak, cm.contracts)
 	if err != nil {
-		return Query{}, err
+		return Query{}, nil, 0, err
 	}
-	x, _, _, err := feature.CompensationFeatures(comps, cm.featureDim)
+	x, _, reserve, err = feature.CompensationFeatures(comps, cm.featureDim)
 	if err != nil {
-		return Query{}, err
+		return Query{}, nil, 0, err
 	}
 	v := x.Dot(cm.theta)
 	if cm.noise != nil {
 		v += cm.noise.Sample(rng)
 	}
-	return Query{Q: q, Valuation: v}, nil
+	return Query{Q: lq, Valuation: v}, x, reserve, nil
 }

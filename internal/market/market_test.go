@@ -308,6 +308,49 @@ func TestConsumerNoiseInjection(t *testing.T) {
 	}
 }
 
+// TestConsumerRoundMatchesBroker checks that NextRound draws the stream
+// NextQuery draws and returns the features and reserve the broker
+// derives from the same query.
+func TestConsumerRoundMatchesBroker(t *testing.T) {
+	const n, T = 4, 50
+	owners := testOwners(t, 40, 15)
+	theta := linalg.Ones(n)
+	cm, err := NewConsumerModel(ConsumerConfig{Owners: owners, FeatureDim: n, Theta: theta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBroker(Config{
+		Owners: owners, Mechanism: pricing.NewSync(testMechanism(t, n, T)), FeatureDim: n, Seed: 16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rngRound, rngQuery := randx.New(17), randx.New(17)
+	for i := 0; i < T; i++ {
+		q, x, reserve, err := cm.NextRound(rngRound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same, err := cm.NextQuery(rngQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if same.Valuation != q.Valuation || same.Q.NoiseVariance != q.Q.NoiseVariance {
+			t.Fatalf("round %d: NextQuery drew %+v, NextRound %+v", i, same, q)
+		}
+		if v := x.Dot(theta); v != q.Valuation {
+			t.Fatalf("round %d: valuation %v, want xᵀθ = %v", i, q.Valuation, v)
+		}
+		tx, err := b.Trade(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tx.Reserve != reserve {
+			t.Fatalf("round %d: broker reserve %v, NextRound reserve %v", i, tx.Reserve, reserve)
+		}
+	}
+}
+
 // TestTradeConcurrent drives one broker from many goroutines through a
 // SyncPoster-wrapped mechanism — the server-hosted configuration. Run
 // with -race; it checks that the ledger, payouts, and mechanism counters

@@ -15,6 +15,32 @@ type Poster interface {
 	Observe(accepted bool) error
 }
 
+// PriceRound runs one valuation round on p: it posts a price for x under
+// reserve, accepts iff Sold(price, valuation), delivers the feedback
+// unless the round was a skip, and records the round in tracker. A nil
+// tracker records nothing, and a round that fails records nothing
+// either. SyncPoster.PriceRound runs it under the stream's lock.
+func PriceRound(p Poster, tracker *Tracker, x linalg.Vector, reserve, valuation float64) (Quote, bool, error) {
+	q, err := p.PostPrice(x, reserve)
+	if err != nil {
+		return Quote{}, false, err
+	}
+	accepted := false
+	// A skip round posts no price and leaves nothing pending: the
+	// mechanism returns before opening a round, so the next PostPrice
+	// proceeds normally (see TestSyncPosterSkipRound).
+	if q.Decision != DecisionSkip {
+		accepted = Sold(q.Price, valuation)
+		if err := p.Observe(accepted); err != nil {
+			return q, accepted, err
+		}
+	}
+	if tracker != nil {
+		tracker.Record(valuation, reserve, q)
+	}
+	return q, accepted, nil
+}
+
 // Mechanism, NonlinearMechanism and the baseline all satisfy Poster.
 var (
 	_ Poster = (*Mechanism)(nil)

@@ -119,7 +119,7 @@ type Kernel interface {
 // φ(x) = (K(x, l₁), …, K(x, l_m)) over m pre-registered landmark points.
 // The paper's formulation lets m grow as t−1, which is incompatible with a
 // fixed-dimension ellipsoid; pinning a landmark set is the standard
-// finite-budget realization of the same model class (DESIGN.md §5).
+// finite-budget realization of the same model class.
 type LandmarkMap struct {
 	kernel    Kernel
 	landmarks []linalg.Vector

@@ -339,8 +339,8 @@ func (m *Mechanism) Observe(accepted bool) error {
 
 // ExploratoryBound returns the Lemma 6/7 upper bound on the number of
 // exploratory rounds, T_e ≤ 20 n² log(20 R S² (n+1)/ε), given the initial
-// radius R and the feature norm bound S. It is used by tests and the
-// EXPERIMENTS.md tables to confirm the theory empirically.
+// radius R and the feature norm bound S. Tests use it to confirm the
+// theory empirically.
 func ExploratoryBound(n int, radius, featureBound, eps float64) float64 {
 	nn := float64(n)
 	arg := 20 * radius * featureBound * featureBound * (nn + 1) / eps

@@ -135,22 +135,7 @@ func (s *SyncPoster) priceRoundLocked(x linalg.Vector, reserve, valuation float6
 		// hold finite values only.
 		return Quote{}, false, fmt.Errorf("pricing: reserve %g and valuation %g must be finite", reserve, valuation)
 	}
-	q, err := s.inner.PostPrice(x, reserve)
-	if err != nil {
-		return Quote{}, false, err
-	}
-	accepted := false
-	// A skip round posts no price and leaves nothing pending: the
-	// mechanism returns before opening a round, so the next PostPrice
-	// proceeds normally (see TestSyncPosterSkipRound).
-	if q.Decision != DecisionSkip {
-		accepted = Sold(q.Price, valuation)
-		if err := s.inner.Observe(accepted); err != nil {
-			return q, accepted, err
-		}
-	}
-	s.tracker.Record(valuation, reserve, q)
-	return q, accepted, nil
+	return PriceRound(s.inner, s.tracker, x, reserve, valuation)
 }
 
 // Counters reads the wrapped poster's counters under the lock.

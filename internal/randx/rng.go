@@ -5,7 +5,10 @@
 // uncertainty model of §III-B.
 //
 // All experiment code takes an explicit *randx.RNG so that every table and
-// figure in EXPERIMENTS.md is reproducible bit-for-bit from a seed.
+// figure is reproducible from a seed: bit for bit on one machine, and at
+// the precision pricebench prints across machines, since math.Exp (behind
+// the tanh contracts and the exp and logistic links) takes an FMA path on
+// amd64 CPUs that have one and may round its last bit differently.
 package randx
 
 import (

@@ -1,6 +1,6 @@
 // Package stats provides the descriptive statistics used by the evaluation
-// harness: streaming (Welford) mean/variance accumulators, batch summaries
-// and quantiles. Table I of the paper reports per-round means and standard
+// harness: streaming (Welford) mean/variance accumulators, summaries and
+// quantiles. Table I of the paper reports per-round means and standard
 // deviations of market value, reserve price, posted price, and regret — the
 // Summary type here is what produces those columns.
 package stats
@@ -37,13 +37,6 @@ func (o *Online) Add(x float64) {
 	}
 	if x > o.max {
 		o.max = x
-	}
-}
-
-// AddAll folds a batch of observations.
-func (o *Online) AddAll(xs []float64) {
-	for _, x := range xs {
-		o.Add(x)
 	}
 }
 
@@ -116,52 +109,18 @@ func NewOnlineFromState(s OnlineState) (*Online, error) {
 	return o, nil
 }
 
-// Summary is a batch description of a sample.
+// Summary describes a sample: what Table I reports of each column.
 type Summary struct {
-	Count  int
-	Mean   float64
-	Std    float64
-	Min    float64
-	Max    float64
-	Median float64
-}
-
-// Summarize computes a Summary of xs (population std).
-func Summarize(xs []float64) Summary {
-	o := NewOnline()
-	o.AddAll(xs)
-	s := Summary{
-		Count: o.Count(), Mean: o.Mean(), Std: o.Std(),
-		Min: o.Min(), Max: o.Max(),
-	}
-	if len(xs) > 0 {
-		s.Median = Quantile(xs, 0.5)
-	}
-	return s
+	Count int
+	Mean  float64
+	Std   float64
+	Min   float64
+	Max   float64
 }
 
 // String renders the mean (std) format used throughout Table I.
 func (s Summary) String() string {
 	return fmt.Sprintf("%.3f (%.3f)", s.Mean, s.Std)
-}
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Std returns the population standard deviation of xs.
-func Std(xs []float64) float64 {
-	o := NewOnline()
-	o.AddAll(xs)
-	return o.Std()
 }
 
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) using linear
@@ -186,19 +145,4 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := float64(pos) - float64(lo)
 	return float64(s[lo]*(1-frac)) + float64(s[hi]*frac)
-}
-
-// RatioSeries returns num[i]/den[i] with 0 where den[i] == 0; it produces
-// the regret-ratio curves of Fig. 5.
-func RatioSeries(num, den []float64) []float64 {
-	if len(num) != len(den) {
-		panic("stats: RatioSeries length mismatch")
-	}
-	out := make([]float64, len(num))
-	for i := range num {
-		if den[i] != 0 {
-			out[i] = num[i] / den[i]
-		}
-	}
-	return out
 }

@@ -6,9 +6,10 @@ import (
 )
 
 func TestOnlineMatchesBatch(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	o := NewOnline()
-	o.AddAll(xs)
+	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
+		o.Add(x)
+	}
 	if o.Count() != 8 {
 		t.Fatalf("Count = %d", o.Count())
 	}
@@ -24,6 +25,10 @@ func TestOnlineMatchesBatch(t *testing.T) {
 	if o.Min() != 2 || o.Max() != 9 {
 		t.Fatalf("Min/Max = %v/%v", o.Min(), o.Max())
 	}
+	// Table I renders each column's Summary as "mean (std)".
+	if s := (Summary{Mean: 3, Std: math.Sqrt2}).String(); s != "3.000 (1.414)" {
+		t.Fatalf("String = %q", s)
+	}
 }
 
 func TestOnlineEmptyAndSingle(t *testing.T) {
@@ -34,16 +39,6 @@ func TestOnlineEmptyAndSingle(t *testing.T) {
 	o.Add(3)
 	if o.Variance() != 0 || o.Mean() != 3 {
 		t.Fatal("single observation variance must be 0")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.Count != 5 || s.Mean != 3 || s.Median != 3 || s.Min != 1 || s.Max != 5 {
-		t.Fatalf("Summary = %+v", s)
-	}
-	if s.String() != "3.000 (1.414)" {
-		t.Fatalf("String = %q", s.String())
 	}
 }
 
@@ -68,30 +63,5 @@ func TestQuantile(t *testing.T) {
 	// Input must not be mutated.
 	if xs[0] != 3 {
 		t.Fatal("Quantile mutated input")
-	}
-}
-
-func TestRatioSeries(t *testing.T) {
-	got := RatioSeries([]float64{1, 4, 5}, []float64{2, 2, 0})
-	if got[0] != 0.5 || got[1] != 2 || got[2] != 0 {
-		t.Fatalf("RatioSeries = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on length mismatch")
-		}
-	}()
-	RatioSeries([]float64{1}, []float64{1, 2})
-}
-
-func TestMeanStdHelpers(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil) != 0")
-	}
-	if Mean([]float64{1, 3}) != 2 {
-		t.Fatal("Mean wrong")
-	}
-	if math.Abs(Std([]float64{2, 4, 4, 4, 5, 5, 7, 9})-2) > 1e-12 {
-		t.Fatal("Std wrong")
 	}
 }
