@@ -58,67 +58,11 @@ func RunAccommodationApp(cfg AccommodationConfig) (*AccommodationResult, error) 
 	if cfg.Threshold < 0 {
 		return nil, fmt.Errorf("experiment: negative Threshold %g", cfg.Threshold)
 	}
-	listings, _, _, err := dataset.GenerateListings(dataset.AirbnbConfig{
-		Count: cfg.Listings, Seed: cfg.Seed, NoiseStd: 0.475,
-	})
+	fit, err := FitHedonic(cfg.Listings, cfg.Seed, 1)
 	if err != nil {
 		return nil, err
 	}
-	// Featurize and standardize columns, which keeps the norms of the
-	// ellipsoid's probes moderate, then append a bias feature so the
-	// intercept is part of θ*.
-	raw := make([]linalg.Vector, len(listings))
-	y := make(linalg.Vector, len(listings))
-	for i := range listings {
-		x, err := dataset.FeaturizeListing(&listings[i])
-		if err != nil {
-			return nil, err
-		}
-		raw[i] = x
-		y[i] = listings[i].LogPrice
-	}
-	std, err := feature.FitStandardizer(raw)
-	if err != nil {
-		return nil, err
-	}
-	dim := dataset.AirbnbFeatureDim + 1
-	rows := make([]linalg.Vector, len(raw))
-	for i, x := range raw {
-		z, err := std.Transform(x)
-		if err != nil {
-			return nil, err
-		}
-		row := make(linalg.Vector, dim)
-		copy(row, z)
-		row[dim-1] = 1
-		rows[i] = row
-	}
-	// 80/20 split, OLS refit (ridge epsilon for the collinear one-hots).
-	trainIdx, testIdx, err := learn.TrainTestSplit(len(rows), 5, 1)
-	if err != nil {
-		return nil, err
-	}
-	trX := make([]linalg.Vector, len(trainIdx))
-	trY := make(linalg.Vector, len(trainIdx))
-	for k, i := range trainIdx {
-		trX[k] = rows[i]
-		trY[k] = y[i]
-	}
-	model, err := learn.FitLinear(trX, trY, learn.FitOptions{Ridge: 1e-8})
-	if err != nil {
-		return nil, err
-	}
-	teX := make([]linalg.Vector, len(testIdx))
-	teY := make(linalg.Vector, len(testIdx))
-	for k, i := range testIdx {
-		teX[k] = rows[i]
-		teY[k] = y[i]
-	}
-	mse, err := model.MSE(teX, teY)
-	if err != nil {
-		return nil, err
-	}
-	theta := model.Coef // over [features, bias]
+	rows, dim, theta := fit.Rows, fit.Dim, fit.Coef
 
 	// Online pricing of the full stream under the log-linear model.
 	T := len(rows)
@@ -152,7 +96,85 @@ func RunAccommodationApp(cfg AccommodationConfig) (*AccommodationResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &AccommodationResult{Series: *s, TestMSE: mse, FeatureDim: dim}, nil
+	return &AccommodationResult{Series: *s, TestMSE: fit.TestMSE, FeatureDim: dim}, nil
+}
+
+// HedonicFit is Application 2's offline step: every listing's feature
+// row and the hedonic log-price model refit on them.
+type HedonicFit struct {
+	// Rows holds each listing's standardized features followed by a
+	// bias entry of 1, in table order; Dim is their length.
+	Rows []linalg.Vector
+	Dim  int
+	// Coef is the OLS coefficient vector θ over [features, bias].
+	Coef linalg.Vector
+	// TestMSE is the fit's mean squared error on the held-out fifth.
+	TestMSE float64
+}
+
+// FitHedonic re-learns the hedonic coefficients with OLS exactly as the
+// paper does: generate count listings from seed, featurize them,
+// standardize each column (which keeps the norms of the ellipsoid's
+// probes moderate), append a bias feature so the intercept is part of
+// θ*, and fit on an 80/20 split with a 1e-8 ridge for the collinear
+// one-hots. splitPhase chooses the held-out fifth, as
+// learn.TrainTestSplit's phase.
+func FitHedonic(count int, seed uint64, splitPhase int) (*HedonicFit, error) {
+	listings, _, _, err := dataset.GenerateListings(dataset.AirbnbConfig{
+		Count: count, Seed: seed, NoiseStd: 0.475,
+	})
+	if err != nil {
+		return nil, err
+	}
+	raw := make([]linalg.Vector, len(listings))
+	y := make(linalg.Vector, len(listings))
+	for i := range listings {
+		x, err := dataset.FeaturizeListing(&listings[i])
+		if err != nil {
+			return nil, err
+		}
+		raw[i] = x
+		y[i] = listings[i].LogPrice
+	}
+	std, err := feature.FitStandardizer(raw)
+	if err != nil {
+		return nil, err
+	}
+	dim := dataset.AirbnbFeatureDim + 1
+	rows := make([]linalg.Vector, len(raw))
+	for i, x := range raw {
+		z, err := std.Transform(x)
+		if err != nil {
+			return nil, err
+		}
+		row := make(linalg.Vector, dim)
+		copy(row, z)
+		row[dim-1] = 1
+		rows[i] = row
+	}
+	trainIdx, testIdx, err := learn.TrainTestSplit(len(rows), 5, splitPhase)
+	if err != nil {
+		return nil, err
+	}
+	subset := func(idx []int) ([]linalg.Vector, linalg.Vector) {
+		xs := make([]linalg.Vector, len(idx))
+		ys := make(linalg.Vector, len(idx))
+		for k, i := range idx {
+			xs[k], ys[k] = rows[i], y[i]
+		}
+		return xs, ys
+	}
+	trX, trY := subset(trainIdx)
+	model, err := learn.FitLinear(trX, trY, learn.FitOptions{Ridge: 1e-8})
+	if err != nil {
+		return nil, err
+	}
+	teX, teY := subset(testIdx)
+	mse, err := model.MSE(teX, teY)
+	if err != nil {
+		return nil, err
+	}
+	return &HedonicFit{Rows: rows, Dim: dim, Coef: model.Coef, TestMSE: mse}, nil
 }
 
 // Fig5bCells runs the Fig. 5(b) sweep: pure version plus reserve ratios

@@ -51,9 +51,9 @@ func TestPrepareIntoZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestSettleBatchZeroAllocs pins the settle side: with the ledger
-// preallocated and curve records off, settling a priced batch touches
-// the books without allocating.
+// TestSettleBatchZeroAllocs pins the settle side: once the ledger's
+// first chunk exists, settling a priced batch touches the books without
+// allocating until that chunk fills.
 func TestSettleBatchZeroAllocs(t *testing.T) {
 	const (
 		owners = 500
@@ -63,8 +63,7 @@ func TestSettleBatchZeroAllocs(t *testing.T) {
 	pop := testOwners(t, owners, 61)
 	b, err := NewBroker(Config{
 		Owners: pop, Mechanism: pricing.NewSync(testMechanism(t, 6, 100000)),
-		FeatureDim:     6,
-		LedgerPrealloc: (runs + 2) * batch,
+		FeatureDim: 6,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +126,7 @@ func TestTradeBatchPerTradeZeroAllocs(t *testing.T) {
 	pop := testOwners(t, owners, 71)
 	b, err := NewBroker(Config{
 		Owners: pop, Mechanism: pricing.NewSync(testMechanism(t, 8, 1<<20)),
-		FeatureDim: 8, LedgerPrealloc: (runs + 2) * batch,
+		FeatureDim: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ package market
 // BenchmarkTradeBatch's ns per trade, which its trades/s metric gives.
 
 import (
+	"runtime"
 	"testing"
 
 	"datamarket/internal/feature"
@@ -41,7 +42,7 @@ func benchBroker(b *testing.B) *Broker {
 	}
 	br, err := NewBroker(Config{
 		Owners: pop, Mechanism: pricing.NewSync(mech), FeatureDim: benchDim,
-		Seed: 7, LedgerPrealloc: 1 << 20,
+		Seed: 7,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -123,7 +124,10 @@ func BenchmarkTradeSequential(b *testing.B) {
 
 // BenchmarkTradeBatch trades 64-round batches: parallel prepare, one
 // pricing lock, one books lock. ns/op is per BATCH; trades/s is the
-// per-trade rate.
+// per-trade rate. ledger-B/trade is the heap the trades leave behind,
+// after a forced GC, per trade: the ledger's cost, 40 bytes an entry,
+// plus the unfilled rest of its last chunk, which short runs amortize
+// over few trades.
 func BenchmarkTradeBatch(b *testing.B) {
 	const batch = 64
 	br := benchBroker(b)
@@ -132,6 +136,7 @@ func BenchmarkTradeBatch(b *testing.B) {
 	for i := range queries {
 		queries[i] = Query{Q: benchQuery(b, r), Valuation: r.Uniform(0, 10)}
 	}
+	heap0 := liveHeap()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -141,5 +146,16 @@ func BenchmarkTradeBatch(b *testing.B) {
 			}
 		}
 	}
+	b.StopTimer()
 	b.ReportMetric(float64(b.N)*batch/b.Elapsed().Seconds(), "trades/s")
+	b.ReportMetric((liveHeap()-heap0)/(float64(b.N)*batch), "ledger-B/trade")
+	runtime.KeepAlive(br)
+}
+
+// liveHeap returns the bytes of live heap objects after a forced GC.
+func liveHeap() float64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return float64(ms.HeapAlloc)
 }

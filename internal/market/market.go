@@ -44,7 +44,9 @@ type Query struct {
 	Valuation float64
 }
 
-// Transaction is the ledger record of one pricing round.
+// Transaction is the ledger record of one pricing round. The ledger
+// keeps a compact entry per round and rebuilds the derived fields
+// (Round, Revenue, Compensation, Profit, Regret) when it is read.
 type Transaction struct {
 	Round        int
 	Reserve      float64
@@ -82,7 +84,7 @@ type Broker struct {
 
 	mu     sync.Mutex // guards rng, ledger, ownerPayout, totals
 	rng    *randx.RNG
-	ledger []Transaction
+	ledger ledger
 
 	ownerPayout linalg.Vector // cumulative compensation per owner
 
@@ -107,11 +109,6 @@ type Config struct {
 	FeatureDim int
 	// Seed drives the Laplace noise in the returned answers.
 	Seed uint64
-	// LedgerPrealloc pre-sizes the ledger's backing array, so settles
-	// below that many rounds append without growing — the last
-	// allocation on the steady-state settle path. 0 keeps the default
-	// growth behavior.
-	LedgerPrealloc int
 }
 
 // NewBroker validates the configuration and builds the broker.
@@ -148,9 +145,6 @@ func NewBroker(cfg Config) (*Broker, error) {
 	// doesn't have to (privacy.Leakages documents this hoist).
 	if err := privacy.ValidateRanges(b.ranges); err != nil {
 		return nil, fmt.Errorf("market: %w", err)
-	}
-	if cfg.LedgerPrealloc > 0 {
-		b.ledger = make([]Transaction, 0, cfg.LedgerPrealloc)
 	}
 	b.ctxPool.New = func() any { return new(QuoteContext) }
 	return b, nil
@@ -387,21 +381,20 @@ func (b *Broker) settle(query Query, ctx *QuoteContext, quote pricing.Quote, sol
 // settleLocked is settle's body; the caller holds b.mu (settle for one
 // round, settleBatch for a whole batch under a single acquisition).
 func (b *Broker) settleLocked(query Query, ctx *QuoteContext, quote pricing.Quote, sold bool) (Transaction, error) {
-	tx := Transaction{
-		Round:       len(b.ledger) + 1,
-		Reserve:     ctx.Reserve,
-		Decision:    quote.Decision,
-		MarketValue: query.Valuation,
+	e := entry{
+		reserve:     ctx.Reserve,
+		posted:      ctx.Reserve,
+		marketValue: query.Valuation,
+		flags:       uint8(quote.Decision),
+	}
+	if quote.Decision != pricing.DecisionSkip {
+		e.posted = quote.Price
+		if sold {
+			e.flags |= soldFlag
+		}
 	}
 
-	if quote.Decision == pricing.DecisionSkip {
-		tx.Posted = ctx.Reserve
-	} else {
-		tx.Posted = quote.Price
-		tx.Sold = sold
-	}
-
-	if tx.Sold {
+	if e.sold() {
 		// Answer the query before touching any payout state: if the
 		// answer fails, the settlement must leave the books exactly as
 		// they were — no payout without a matching ledger entry.
@@ -409,10 +402,7 @@ func (b *Broker) settleLocked(query Query, ctx *QuoteContext, quote pricing.Quot
 		if err != nil {
 			return Transaction{}, err
 		}
-		tx.Answer = ans
-		tx.Revenue = tx.Posted
-		tx.Compensation = ctx.Reserve
-		tx.Profit = tx.Revenue - tx.Compensation
+		e.answer = ans
 		// Pay owners proportionally to their compensations, in
 		// compensation units rescaled to feature units. Only supported
 		// owners can be owed anything (π(0) = 0), so the update is
@@ -423,12 +413,14 @@ func (b *Broker) settleLocked(query Query, ctx *QuoteContext, quote pricing.Quot
 				b.ownerPayout[ctx.Support[k]] += ctx.Reserve * c / total
 			}
 		}
+	}
+	tx := e.transaction(b.ledger.len())
+	if tx.Sold {
 		b.sold++
 		b.totRevenue += tx.Revenue
 		b.totCompensation += tx.Compensation
 	}
-	tx.Regret = pricing.SingleRoundRegret(query.Valuation, ctx.Reserve, tx.Posted)
-	b.ledger = append(b.ledger, tx)
+	b.ledger.append(e)
 	return tx, nil
 }
 
@@ -444,23 +436,25 @@ func (b *Broker) Ledger() []Transaction {
 // LedgerSlice copies out ledger entries [offset, offset+limit) in trade
 // order, plus the full ledger length. Negative offset is treated as 0;
 // limit ≤ 0 means "to the end". Unlike Ledger it is safe while trades
-// are in flight: the returned slice is the caller's own.
+// are in flight: the returned slice is the caller's own. Only the
+// page's compact entries are copied under the books lock; the
+// transactions are rebuilt from them after it is released.
 func (b *Broker) LedgerSlice(offset, limit int) ([]Transaction, int) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	total := len(b.ledger)
-	if offset < 0 {
-		offset = 0
-	}
-	if offset > total {
-		offset = total
-	}
+	total := b.ledger.len()
+	offset = min(max(offset, 0), total)
 	end := total
-	if limit > 0 && offset+limit < end {
+	if limit > 0 && limit < end-offset {
 		end = offset + limit
 	}
-	out := make([]Transaction, end-offset)
-	copy(out, b.ledger[offset:end])
+	page := make([]entry, end-offset)
+	b.ledger.copyTo(page, offset)
+	b.mu.Unlock()
+
+	out := make([]Transaction, len(page))
+	for i := range page {
+		out[i] = page[i].transaction(offset + i)
+	}
 	return out, total
 }
 
@@ -502,7 +496,7 @@ func (b *Broker) Stats() Stats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return Stats{
-		Rounds:            len(b.ledger),
+		Rounds:            b.ledger.len(),
 		Sold:              b.sold,
 		Revenue:           b.totRevenue,
 		Compensation:      b.totCompensation,

@@ -68,7 +68,8 @@ func NewTracker() *Tracker {
 // Record folds one completed round into the tracker. For skip rounds pass
 // the quote with Decision == DecisionSkip; the posted price is recorded as
 // the reserve (nothing was offered, and the regret definition's first
-// branch applies whenever q > v).
+// branch applies whenever q > v). A round without a reserve passes −Inf;
+// only finite reserves enter the reserve column of Table.
 func (t *Tracker) Record(v, reserve float64, quote Quote) RoundRecord {
 	posted := quote.Price
 	sold := false
@@ -95,7 +96,9 @@ func (t *Tracker) Record(v, reserve float64, quote Quote) RoundRecord {
 	t.regretStats.Add(r.Regret)
 	t.valueStats.Add(v)
 	t.postedStats.Add(posted)
-	t.reserveStats.Add(reserve)
+	if isFinite(reserve) {
+		t.reserveStats.Add(reserve)
+	}
 	return r
 }
 
@@ -150,9 +153,10 @@ func (t *Tracker) State() TrackerState {
 	}
 }
 
-// RestoreTracker rebuilds a tracker from a captured state. The four
-// accumulators must agree on the round count — a state violating that
-// was not produced by State.
+// RestoreTracker rebuilds a tracker from a captured state. The regret,
+// value and posted accumulators must agree on the round count, and the
+// reserve accumulator, which skips rounds without a reserve, may not
+// exceed it — a state violating that was not produced by State.
 func RestoreTracker(s *TrackerState) (*Tracker, error) {
 	if s == nil {
 		return nil, fmt.Errorf("pricing: nil tracker state")
@@ -177,7 +181,7 @@ func RestoreTracker(s *TrackerState) (*Tracker, error) {
 		return nil, fmt.Errorf("pricing: tracker reserve stats: %w", err)
 	}
 	n := t.regretStats.Count()
-	if t.valueStats.Count() != n || t.postedStats.Count() != n || t.reserveStats.Count() != n {
+	if t.valueStats.Count() != n || t.postedStats.Count() != n || t.reserveStats.Count() > n {
 		return nil, fmt.Errorf("pricing: tracker state accumulators disagree on round count")
 	}
 	t.cumRegret, t.cumValue, t.cumRevenue = s.CumRegret, s.CumValue, s.CumRevenue

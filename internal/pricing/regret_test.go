@@ -116,6 +116,35 @@ func TestTrackerSkipRecordsReserveAsPosted(t *testing.T) {
 	}
 }
 
+// TestTrackerWithoutReserve pins that a round without a reserve (−Inf)
+// leaves the reserve column empty, not NaN, and that such a tracker's
+// state restores.
+func TestTrackerWithoutReserve(t *testing.T) {
+	tr := NewTracker()
+	tr.Record(5, math.Inf(-1), Quote{Price: 4, Decision: DecisionExploratory})
+	tr.Record(6, math.Inf(-1), Quote{Price: 7, Decision: DecisionExploratory})
+	row := tr.Table()
+	if row.Reserve.Count != 0 || row.Reserve.String() != "n/a" {
+		t.Fatalf("reserve column = %+v (%s), want empty", row.Reserve, row.Reserve)
+	}
+	if row.Posted.Count != 2 || row.Posted.String() != "5.500 (1.500)" {
+		t.Fatalf("posted column = %+v (%s)", row.Posted, row.Posted)
+	}
+	tr.Record(5, 1, Quote{Price: 4, Decision: DecisionExploratory})
+	st := tr.State()
+	back, err := RestoreTracker(&st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Rounds() != 3 || back.Table() != tr.Table() {
+		t.Fatalf("restored table %+v, want %+v", back.Table(), tr.Table())
+	}
+	st.Reserve.N = 4
+	if _, err := RestoreTracker(&st); err == nil {
+		t.Fatal("restored a state with more reserves than rounds")
+	}
+}
+
 func TestTrackerWithoutRecords(t *testing.T) {
 	tr := NewTracker()
 	for i := 0; i < 100; i++ {

@@ -118,8 +118,12 @@ type Summary struct {
 	Max   float64
 }
 
-// String renders the mean (std) format used throughout Table I.
+// String renders the mean (std) format used throughout Table I, or
+// "n/a" for a summary of no observations.
 func (s Summary) String() string {
+	if s.Count == 0 {
+		return "n/a"
+	}
 	return fmt.Sprintf("%.3f (%.3f)", s.Mean, s.Std)
 }
 

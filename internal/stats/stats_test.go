@@ -25,9 +25,13 @@ func TestOnlineMatchesBatch(t *testing.T) {
 	if o.Min() != 2 || o.Max() != 9 {
 		t.Fatalf("Min/Max = %v/%v", o.Min(), o.Max())
 	}
-	// Table I renders each column's Summary as "mean (std)".
-	if s := (Summary{Mean: 3, Std: math.Sqrt2}).String(); s != "3.000 (1.414)" {
+	// Table I renders each column's Summary as "mean (std)", and one of
+	// no observations as "n/a".
+	if s := (Summary{Count: 2, Mean: 3, Std: math.Sqrt2}).String(); s != "3.000 (1.414)" {
 		t.Fatalf("String = %q", s)
+	}
+	if s := (Summary{}).String(); s != "n/a" {
+		t.Fatalf("empty String = %q", s)
 	}
 }
 
