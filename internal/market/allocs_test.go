@@ -114,7 +114,8 @@ func TestSettleBatchZeroAllocs(t *testing.T) {
 // cycle through 1,024 distinct 40-hot queries over 4,000 owners, and
 // every query prepares into a pooled context. What remains is the
 // batch's own bookkeeping (the outcome, context, round and index slices
-// and the prepare workers): a fixed handful per batch, none per trade.
+// and the prepare workers): a fixed handful per batch, none per trade,
+// plus the ledger's next chunk once every 64 batches.
 func TestTradeBatchPerTradeZeroAllocs(t *testing.T) {
 	const (
 		owners   = 4000
